@@ -114,110 +114,6 @@ fn ablation_fusion(c: &mut Criterion) {
     group.finish();
 }
 
-/// Chebyshev vs naive Richardson polynomial preconditioning at equal
-/// sweep budgets — the quantitative case for the paper's CI choice.
-fn ablation_polynomial(c: &mut Criterion) {
-    use accel::Recorder;
-    use krylov::{
-        bicgstab_solve, global_bounds, ChebyMode, ChebyPrecond, RankCtx, RichardsonPrec, Scope,
-        Workspace,
-    };
-
-    let mut group = c.benchmark_group("ablation_polynomial");
-    group.sample_size(10);
-    let problem = paper_problem(17);
-    let grid = blockgrid::BlockGrid::new(problem.discretize(), Decomp::single(), 0);
-    let ctx: RankCtx<f64, _, comm::SelfComm<f64>> = RankCtx::new(
-        Serial::new(Recorder::disabled()),
-        comm::SelfComm::default(),
-        grid,
-    );
-    let bounds = global_bounds(&ctx).rescaled(1e-4, 10.0);
-    let b_host = poisson::assemble::local_rhs(&problem, &ctx.grid);
-    let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
-    let b_scaled: Vec<f64> = b_host.iter().map(|v| v / bnorm).collect();
-    let b = Field::from_interior(&ctx.dev, &ctx.grid, &b_scaled);
-    let params = SolveParams {
-        tol: 1e-10,
-        max_iters: 20_000,
-        record_history: false,
-        ..Default::default()
-    };
-
-    group.bench_function("chebyshev_24", |bch| {
-        bch.iter(|| {
-            let mut prec = ChebyPrecond::new(&ctx, ChebyMode::GlobalNoComm, bounds, 24);
-            let mut x = ctx.field();
-            let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-            let out = bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut prec, &mut ws, &params);
-            assert!(out.converged);
-            out.iterations
-        });
-    });
-    group.bench_function("richardson_24", |bch| {
-        bch.iter(|| {
-            let mut prec = RichardsonPrec::new(&ctx, ChebyMode::GlobalNoComm, bounds, 24);
-            let mut x = ctx.field();
-            let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-            let out = bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut prec, &mut ws, &params);
-            assert!(out.converged);
-            out.iterations
-        });
-    });
-    group.finish();
-}
-
-/// Overlap vs no overlap: RAS(1) against the paper's non-overlapping
-/// Block-Jacobi limit, at equal local sweep counts (the Schwarz trade of
-/// Sec. III-A: fewer outer iterations vs one extra exchange per apply).
-fn ablation_overlap(c: &mut Criterion) {
-    use accel::Recorder;
-    use krylov::{
-        bicgstab_solve, local_bounds, ChebyMode, ChebyPrecond, RankCtx, RasPrec, Scope, Workspace,
-    };
-
-    let mut group = c.benchmark_group("ablation_overlap");
-    group.sample_size(10);
-    // single rank: RAS == BJ, so run the comparison on the structure cost
-    // only; multi-rank comparisons live in the krylov test suite.
-    let problem = paper_problem(17);
-    let grid = blockgrid::BlockGrid::new(problem.discretize(), Decomp::single(), 0);
-    let ctx: RankCtx<f64, _, comm::SelfComm<f64>> = RankCtx::new(
-        Serial::new(Recorder::disabled()),
-        comm::SelfComm::default(),
-        grid,
-    );
-    let b_host = poisson::assemble::local_rhs(&problem, &ctx.grid);
-    let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
-    let b_scaled: Vec<f64> = b_host.iter().map(|v| v / bnorm).collect();
-    let b = Field::from_interior(&ctx.dev, &ctx.grid, &b_scaled);
-    let params = SolveParams {
-        tol: 1e-10,
-        max_iters: 20_000,
-        record_history: false,
-        ..Default::default()
-    };
-
-    group.bench_function("bj_no_overlap", |bch| {
-        bch.iter(|| {
-            let bounds = local_bounds(&ctx).rescaled(1e-4, 10.0);
-            let mut prec = ChebyPrecond::new(&ctx, ChebyMode::BlockJacobi, bounds, 24);
-            let mut x = ctx.field();
-            let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-            bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut prec, &mut ws, &params).iterations
-        });
-    });
-    group.bench_function("ras_overlap1", |bch| {
-        bch.iter(|| {
-            let mut prec = RasPrec::new(&ctx, 24, 1e-4, 10.0);
-            let mut x = ctx.field();
-            let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-            bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut prec, &mut ws, &params).iterations
-        });
-    });
-    group.finish();
-}
-
 /// Split-phase overlapped halo exchange vs the synchronous exchange, per
 /// operator application, on the Threads back-end at 8 ranks (2×2×2).
 ///
@@ -1047,6 +943,6 @@ fn ablation_reduction(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = ablation_comm, ablation_ci_iters, ablation_rescale, ablation_fusion, ablation_reduction, ablation_polynomial, ablation_early_exit, ablation_overlap, ablation_halo_overlap, ablation_reduce_overlap, ablation_fused_kernels, ablation_batched_rhs, ablation_mixed_precision
+    targets = ablation_comm, ablation_ci_iters, ablation_rescale, ablation_fusion, ablation_reduction, ablation_early_exit, ablation_halo_overlap, ablation_reduce_overlap, ablation_fused_kernels, ablation_batched_rhs, ablation_mixed_precision
 );
 criterion_main!(benches);

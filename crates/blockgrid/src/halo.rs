@@ -1,5 +1,6 @@
 //! Halo (ghost-point) exchange between neighbouring subdomains.
 
+use std::borrow::{Borrow, BorrowMut};
 use std::sync::Mutex;
 
 use accel::{Device, Event, ExchangeHazard, KernelInfo, RowMap, Scalar, HALO_OVERLAP_STAGE};
@@ -36,6 +37,10 @@ pub const INFO_HALO_UNPACK_F32: KernelInfo = KernelInfo::new("KernelHaloUnpackF3
 ///   deep-interior stencil via [`accel::RowMap::halo_deep_interior`]);
 ///   `finish` completes the receives and fills the ghost layers.
 ///
+/// Both are generic over the field's element type `S`, separate from
+/// the communicator's scalar `T`: an `f32` field under an `f64` solve
+/// travels as packed wire words on its own tag band (see [`Wire`]).
+///
 /// Pack and unpack run as device kernels through the [`Device`] launch
 /// path, so they parallelize on the threaded back-end and are accounted
 /// as `KernelHaloPack` / `KernelHaloUnpack` launches by the recorder.
@@ -46,12 +51,9 @@ pub const INFO_HALO_UNPACK_F32: KernelInfo = KernelInfo::new("KernelHaloUnpackF3
 #[derive(Debug)]
 pub struct HaloExchange<T: Scalar> {
     grid: BlockGrid,
-    /// Per-axis free lists of face-sized message buffers.
+    /// Per-axis free lists of message buffers (solo, narrow and batched
+    /// payloads all share them — `resize` adjusts a recycled buffer).
     pool: Mutex<[Vec<Vec<T>>; 3]>,
-    /// Per-axis free lists of single-precision staging planes for the
-    /// mixed-precision exchange (`f32` faces bit-packed into `T` wire
-    /// words before they enter the communicator's native channels).
-    pool_f32: Mutex<[Vec<Vec<f32>>; 3]>,
 }
 
 impl<T: Scalar> Clone for HaloExchange<T> {
@@ -62,52 +64,110 @@ impl<T: Scalar> Clone for HaloExchange<T> {
 }
 
 /// Token for a split-phase exchange in flight: the posted receives plus
-/// the traffic bookkeeping `finish` will record.
+/// the wire format and traffic bookkeeping `finish` will use.
 #[must_use = "a begun halo exchange must be completed with finish()"]
 #[derive(Debug)]
 pub struct PendingExchange {
     recvs: [[Option<RecvRequest>; 2]; 3],
+    wire: Wire,
     msgs: u32,
     bytes: u64,
     overlap: bool,
 }
 
-/// Token for a split-phase single-precision exchange in flight (the
-/// mixed-precision analogue of [`PendingExchange`], completed with
-/// [`HaloExchange::finish_f32`]).
-#[must_use = "a begun f32 halo exchange must be completed with finish_f32()"]
-#[derive(Debug)]
-pub struct PendingExchangeF32 {
-    recvs: [[Option<RecvRequest>; 2]; 3],
-    msgs: u32,
-    bytes: u64,
-    overlap: bool,
+/// How a face plane of `S` elements becomes a message on a
+/// `Communicator<T>` — the one place the wire format is decided.
+///
+/// * **Element width.** A face as wide as `T` travels as-is, one element
+///   per word. A narrower face (`f32` under an `f64` solve) travels as
+///   packed wire words: `T::BYTES / S::BYTES` bit patterns per word,
+///   lane 0 in the low bits, an odd tail leaving the high lane zero.
+///   The words are opaque bit carriers — only moved, never computed on
+///   — so the round trip is bit-exact and the wire bytes genuinely
+///   halve instead of being silently re-widened.
+/// * **Tag bands.** Six face tags per band: full-width solo faces use
+///   `0..6`, narrow faces `6..12`, and a batch of `lanes` full-width
+///   planes `(lanes + 1) * 6 ..`. A channel+tag pair therefore always
+///   carries one fixed message size — which communication checkers (and
+///   real MPI matching) rely on — even when both widths interleave on a
+///   channel or the active-lane set of a batched solve shrinks.
+/// * **Kernels.** Narrow faces book the half-width pack/unpack traffic.
+#[derive(Clone, Copy, Debug)]
+struct Wire {
+    /// Face elements per wire word.
+    lanes: usize,
+    /// Bits per face element.
+    bits: usize,
+    band: Tag,
+    pack: KernelInfo,
+    unpack: KernelInfo,
 }
 
-/// Message tag for a face moving from side `1 - side` toward `side` along
-/// `axis`. Sender of its own `side` face uses `face_tag(axis, side)`; the
-/// receiver filling its `side` ghost expects `face_tag(axis, 1 - side)`.
-fn face_tag(axis: usize, side: usize) -> Tag {
-    (axis * 2 + side) as Tag
-}
+impl Wire {
+    /// The wire format of `S` faces on `T` channels; `batch` is the
+    /// lane count of a batched exchange (`None` for a solo one).
+    fn new<S: Scalar, T: Scalar>(batch: Option<usize>) -> Self {
+        assert!(S::BYTES <= T::BYTES, "a face element must fit a wire word");
+        let lanes = T::BYTES / S::BYTES;
+        let (band, pack, unpack) = match batch {
+            _ if lanes > 1 => (6, INFO_HALO_PACK_F32, INFO_HALO_UNPACK_F32),
+            Some(nl) => ((nl as Tag + 1) * 6, INFO_HALO_PACK, INFO_HALO_UNPACK),
+            None => (0, INFO_HALO_PACK, INFO_HALO_UNPACK),
+        };
+        Self {
+            lanes,
+            bits: 8 * S::BYTES,
+            band,
+            pack,
+            unpack,
+        }
+    }
 
-/// Tag of a single-precision face message: its own band of six tags
-/// (`6..12`), disjoint from the full-precision solo band (`0..6`), so a
-/// channel+tag pair still always carries one fixed message size even
-/// when `f64` and `f32` exchanges interleave on the same channel — the
-/// `f32` wire payload is roughly half the `f64` one.
-fn face_tag_f32(axis: usize, side: usize) -> Tag {
-    6 + face_tag(axis, side)
-}
+    /// Tag of a face moving from side `1 - side` toward `side` along
+    /// `axis`: the sender of its own `side` face uses `tag(axis, side)`;
+    /// the receiver filling its `side` ghost expects `tag(axis, 1 - side)`.
+    fn tag(self, axis: usize, side: usize) -> Tag {
+        self.band + (axis * 2 + side) as Tag
+    }
 
-/// Tag of a batched face message carrying `lanes` packed planes. Each
-/// lane count gets its own band of six face tags, disjoint from the
-/// solo `f64` band (`0..6`) and the solo `f32` band (`6..12`): a
-/// channel+tag pair therefore always carries one fixed message size,
-/// which communication checkers (and real MPI matching) can rely on even
-/// as the active-lane set of a batched solve shrinks between exchanges.
-fn batch_face_tag(axis: usize, side: usize, lanes: usize) -> Tag {
-    (lanes as Tag + 1) * 6 + face_tag(axis, side)
+    /// Squeeze `buf`'s face elements (one bit pattern per word, as the
+    /// pack kernel wrote them) into packed wire words, in place.
+    fn squeeze<T: Scalar>(self, buf: &mut Vec<T>) {
+        if self.lanes == 1 {
+            return;
+        }
+        let words = buf.len().div_ceil(self.lanes);
+        for w in 0..words {
+            // Word `w` reads elements at or past `w`: none is overwritten yet.
+            let lanes = &buf[w * self.lanes..buf.len().min((w + 1) * self.lanes)];
+            let bits = lanes
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (l, v)| acc | (v.to_bits64() << (l * self.bits)));
+            buf[w] = T::from_bits64(bits);
+        }
+        buf.truncate(words);
+    }
+
+    /// Inverse of [`Wire::squeeze`]: spread the packed words of a
+    /// received `buf` back to `elems` face elements, in place.
+    fn unsqueeze<T: Scalar>(self, buf: &mut Vec<T>, elems: usize) {
+        assert_eq!(
+            buf.len(),
+            elems.div_ceil(self.lanes),
+            "halo wire length mismatch"
+        );
+        if self.lanes == 1 {
+            return;
+        }
+        buf.resize(elems, T::ZERO);
+        let mask = u64::MAX >> (64 - self.bits);
+        // Backwards: element `e` reads word `e / lanes <= e`, still packed.
+        for e in (0..elems).rev() {
+            let word = buf[e / self.lanes].to_bits64();
+            buf[e] = T::from_bits64((word >> ((e % self.lanes) * self.bits)) & mask);
+        }
+    }
 }
 
 impl<T: Scalar> HaloExchange<T> {
@@ -116,7 +176,6 @@ impl<T: Scalar> HaloExchange<T> {
         Self {
             grid: grid.clone(),
             pool: Mutex::new([Vec::new(), Vec::new(), Vec::new()]),
-            pool_f32: Mutex::new([Vec::new(), Vec::new(), Vec::new()]),
         }
     }
 
@@ -138,27 +197,9 @@ impl<T: Scalar> HaloExchange<T> {
         }
     }
 
-    /// Number of `T` wire words one `f32` face plane of `axis` packs to.
-    fn wire_len(&self, axis: usize) -> usize {
-        self.face_len(axis).div_ceil(T::F32_LANES)
-    }
-
-    /// Take a face buffer for `axis` from the pool (or allocate one).
-    fn acquire(&self, axis: usize) -> Vec<T> {
-        self.acquire_len(axis, self.face_len(axis))
-    }
-
-    /// Take a buffer holding `lanes` consecutive face planes for `axis`
-    /// from the pool (or allocate one). Solo and batched exchanges share
-    /// the pool: `resize` adjusts a recycled buffer to either payload.
-    fn acquire_lanes(&self, axis: usize, lanes: usize) -> Vec<T> {
-        self.acquire_len(axis, self.face_len(axis) * lanes)
-    }
-
     /// Take a buffer of exactly `len` elements from the `axis` free list
-    /// (solo faces, batched multi-lane faces and `f32` wire words all
-    /// share the list — `resize` adjusts a recycled buffer in place).
-    fn acquire_len(&self, axis: usize, len: usize) -> Vec<T> {
+    /// (or allocate one).
+    fn acquire(&self, axis: usize, len: usize) -> Vec<T> {
         let mut buf = self.pool.lock().unwrap_or_else(|p| p.into_inner())[axis]
             .pop()
             .unwrap_or_default();
@@ -166,31 +207,14 @@ impl<T: Scalar> HaloExchange<T> {
         buf
     }
 
-    /// Return a face buffer to the `axis` free list for reuse.
+    /// Return a buffer to the `axis` free list for reuse.
     fn recycle(&self, axis: usize, buf: Vec<T>) {
         self.pool.lock().unwrap_or_else(|p| p.into_inner())[axis].push(buf);
     }
 
-    /// Take a single-precision staging plane for `axis` from the `f32`
-    /// pool (or allocate one).
-    fn acquire_f32(&self, axis: usize) -> Vec<f32> {
-        let len = self.face_len(axis);
-        let mut buf = self.pool_f32.lock().unwrap_or_else(|p| p.into_inner())[axis]
-            .pop()
-            .unwrap_or_default();
-        buf.resize(len, 0.0);
-        buf
-    }
-
-    /// Return a staging plane to the `axis` `f32` free list for reuse.
-    fn recycle_f32(&self, axis: usize, buf: Vec<f32>) {
-        self.pool_f32.lock().unwrap_or_else(|p| p.into_inner())[axis].push(buf);
-    }
-
-    /// Pack the interior plane adjacent to (`axis`, `side`) into `buf`
-    /// as a device kernel over the buffer's rows. Generic over the face
-    /// element type so the full- and mixed-precision exchanges share one
-    /// kernel body (`info` carries the per-precision traffic accounting).
+    /// Pack the interior plane adjacent to (`axis`, `side`) into `buf`,
+    /// one element bit pattern per word, as a device kernel over the
+    /// buffer's rows (`info` carries the per-width traffic accounting).
     fn pack_face<S: Scalar, D: Device>(
         &self,
         dev: &D,
@@ -198,13 +222,14 @@ impl<T: Scalar> HaloExchange<T> {
         field: &Field<S>,
         axis: usize,
         side: usize,
-        buf: &mut [S],
+        buf: &mut [T],
     ) {
         let n = self.grid.local_n;
         let [pnx, pny, _] = self.grid.padded();
         let fixed = if side == 0 { 1 } else { n[axis] };
         let idx = move |i: usize, j: usize, k: usize| i + pnx * (j + pny * k);
         let us = field.as_slice();
+        let word = move |i: usize| T::from_bits64(us[i].to_bits64());
         debug_assert_eq!(buf.len(), self.face_len(axis));
         // Buffer rows are its natural contiguous runs: j-runs for the x
         // faces, i-runs for the y and z faces.
@@ -220,7 +245,7 @@ impl<T: Scalar> HaloExchange<T> {
                 };
                 dev.launch_rows(info, map, buf, |kk, _, row| {
                     for (jj, v) in row.iter_mut().enumerate() {
-                        *v = us[idx(fixed, jj + 1, kk + 1)];
+                        *v = word(idx(fixed, jj + 1, kk + 1));
                     }
                 });
             }
@@ -235,7 +260,7 @@ impl<T: Scalar> HaloExchange<T> {
                 };
                 dev.launch_rows(info, map, buf, |kk, _, row| {
                     for (ii, v) in row.iter_mut().enumerate() {
-                        *v = us[idx(ii + 1, fixed, kk + 1)];
+                        *v = word(idx(ii + 1, fixed, kk + 1));
                     }
                 });
             }
@@ -250,16 +275,16 @@ impl<T: Scalar> HaloExchange<T> {
                 };
                 dev.launch_rows(info, map, buf, |jj, _, row| {
                     for (ii, v) in row.iter_mut().enumerate() {
-                        *v = us[idx(ii + 1, jj + 1, fixed)];
+                        *v = word(idx(ii + 1, jj + 1, fixed));
                     }
                 });
             }
         }
     }
 
-    /// Unpack a received plane into the ghost layer at (`axis`, `side`)
-    /// as a device kernel over the ghost layer's rows (generic over the
-    /// face element type, like [`HaloExchange::pack_face`]).
+    /// Unpack a received plane (one element bit pattern per word) into
+    /// the ghost layer at (`axis`, `side`) as a device kernel over the
+    /// ghost layer's rows.
     fn unpack_face<S: Scalar, D: Device>(
         &self,
         dev: &D,
@@ -267,13 +292,14 @@ impl<T: Scalar> HaloExchange<T> {
         field: &mut Field<S>,
         axis: usize,
         side: usize,
-        plane: &[S],
+        plane: &[T],
     ) {
         let n = self.grid.local_n;
         let [pnx, pny, _] = self.grid.padded();
         assert_eq!(plane.len(), self.face_len(axis), "halo plane size mismatch");
         let ghost = if side == 0 { 0 } else { n[axis] + 1 };
         let idx = move |i: usize, j: usize, k: usize| i + pnx * (j + pny * k);
+        let elem = move |i: usize| S::from_bits64(plane[i].to_bits64());
         let (sy, sz) = (pnx, pnx * pny);
         match axis {
             0 => {
@@ -287,7 +313,7 @@ impl<T: Scalar> HaloExchange<T> {
                     sz,
                 };
                 dev.launch_rows(info, map, field.as_mut_slice(), |j, k, row| {
-                    row[0] = plane[k * n[1] + j];
+                    row[0] = elem(k * n[1] + j);
                 });
             }
             1 => {
@@ -301,7 +327,7 @@ impl<T: Scalar> HaloExchange<T> {
                 };
                 dev.launch_rows(info, map, field.as_mut_slice(), |_, k, row| {
                     for (ii, v) in row.iter_mut().enumerate() {
-                        *v = plane[k * n[0] + ii];
+                        *v = elem(k * n[0] + ii);
                     }
                 });
             }
@@ -316,7 +342,7 @@ impl<T: Scalar> HaloExchange<T> {
                 };
                 dev.launch_rows(info, map, field.as_mut_slice(), |j, _, row| {
                     for (ii, v) in row.iter_mut().enumerate() {
-                        *v = plane[j * n[0] + ii];
+                        *v = elem(j * n[0] + ii);
                     }
                 });
             }
@@ -342,20 +368,31 @@ impl<T: Scalar> HaloExchange<T> {
         }
     }
 
-    fn begin_impl<D: Device, C: Communicator<T>>(
+    /// Post every receive, then pack and send every interface face of
+    /// `fields` (lane `b`'s plane at `[b * face_len, (b + 1) * face_len)`
+    /// of one message per face) — the post → pack → send half shared by
+    /// solo, narrow and batched exchanges.
+    fn post<S, D, C, F>(
         &self,
         dev: &D,
         comm: &C,
-        field: &Field<T>,
+        fields: &[F],
+        wire: Wire,
         overlap: bool,
-    ) -> PendingExchange {
+    ) -> PendingExchange
+    where
+        S: Scalar,
+        D: Device,
+        C: Communicator<T>,
+        F: Borrow<Field<S>>,
+    {
         // Post all receives first (`MPI_Irecv`), as the paper's
         // implementation does...
         let mut recvs: [[Option<RecvRequest>; 2]; 3] = [[None; 2]; 3];
         for (axis, slots) in recvs.iter_mut().enumerate() {
             for (side, slot) in slots.iter_mut().enumerate() {
                 if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
-                    *slot = Some(comm.irecv(neighbor, face_tag(axis, 1 - side)));
+                    *slot = Some(comm.irecv(neighbor, wire.tag(axis, 1 - side)));
                 }
             }
         }
@@ -363,13 +400,17 @@ impl<T: Scalar> HaloExchange<T> {
         let mut msgs = 0u32;
         let mut bytes = 0u64;
         for axis in 0..3 {
+            let flen = self.face_len(axis);
             for side in 0..2 {
                 if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
-                    let mut face = self.acquire(axis);
-                    self.pack_face(dev, INFO_HALO_PACK, field, axis, side, &mut face);
-                    bytes += (face.len() * T::BYTES) as u64;
+                    let mut words = self.acquire(axis, fields.len() * flen);
+                    for (plane, field) in words.chunks_mut(flen).zip(fields) {
+                        self.pack_face(dev, wire.pack, field.borrow(), axis, side, plane);
+                    }
+                    wire.squeeze(&mut words);
+                    bytes += (words.len() * T::BYTES) as u64;
                     msgs += 1;
-                    comm.send(neighbor, face_tag(axis, side), face);
+                    comm.send(neighbor, wire.tag(axis, side), words);
                 }
             }
         }
@@ -384,12 +425,56 @@ impl<T: Scalar> HaloExchange<T> {
         }
         // From here until `finish`, the interface ghost planes belong to
         // the exchange; tell any sanitizing device wrapper.
-        dev.on_exchange_begin(self.hazard(field));
+        for field in fields {
+            dev.on_exchange_begin(self.hazard(field.borrow()));
+        }
         PendingExchange {
             recvs,
+            wire,
             msgs,
             bytes,
             overlap,
+        }
+    }
+
+    /// Wait for every posted receive (`MPI_Waitall`), unpack the ghost
+    /// planes into `fields` and recycle the buffers — the wait → unpack
+    /// half shared by every exchange.
+    fn complete<S, D, C, F>(&self, dev: &D, comm: &C, pending: PendingExchange, fields: &mut [F])
+    where
+        S: Scalar,
+        D: Device,
+        C: Communicator<T>,
+        F: BorrowMut<Field<S>>,
+    {
+        // The exchange is being completed: the ghost planes return to the
+        // caller before any unpack kernel writes them.
+        for field in fields.iter() {
+            dev.on_exchange_finish(self.hazard(field.borrow()));
+        }
+        let wire = pending.wire;
+        for (axis, slots) in pending.recvs.iter().enumerate() {
+            let flen = self.face_len(axis);
+            for (side, slot) in slots.iter().enumerate() {
+                if let Some(req) = slot {
+                    let mut words = comm.wait(*req);
+                    wire.unsqueeze(&mut words, fields.len() * flen);
+                    for (plane, field) in words.chunks(flen).zip(fields.iter_mut()) {
+                        self.unpack_face(dev, wire.unpack, field.borrow_mut(), axis, side, plane);
+                    }
+                    self.recycle(axis, words);
+                }
+            }
+        }
+        if pending.overlap {
+            comm.recorder().record(Event::End {
+                name: HALO_OVERLAP_STAGE,
+            });
+        } else {
+            comm.recorder().record(Event::Halo {
+                msgs: pending.msgs,
+                bytes: pending.bytes,
+            });
         }
     }
 
@@ -399,13 +484,13 @@ impl<T: Scalar> HaloExchange<T> {
     /// The caller may now run any kernel that does not read `field`'s
     /// ghost values, then must call [`HaloExchange::finish`] to complete
     /// the exchange before the ghosts are consumed.
-    pub fn begin<D: Device, C: Communicator<T>>(
+    pub fn begin<S: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
-        field: &Field<T>,
+        field: &Field<S>,
     ) -> PendingExchange {
-        self.begin_impl(dev, comm, field, true)
+        self.post(dev, comm, &[field], Wire::new::<S, T>(None), true)
     }
 
     /// Complete a split-phase exchange: wait for every posted receive
@@ -413,35 +498,14 @@ impl<T: Scalar> HaloExchange<T> {
     ///
     /// Received buffers are recycled into the pool, so the next `begin`
     /// allocates nothing.
-    pub fn finish<D: Device, C: Communicator<T>>(
+    pub fn finish<S: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
         pending: PendingExchange,
-        field: &mut Field<T>,
+        field: &mut Field<S>,
     ) {
-        // The exchange is being completed: the ghost planes return to the
-        // caller before any unpack kernel writes them.
-        dev.on_exchange_finish(self.hazard(field));
-        for (axis, slots) in pending.recvs.iter().enumerate() {
-            for (side, slot) in slots.iter().enumerate() {
-                if let Some(req) = slot {
-                    let plane = comm.wait(*req);
-                    self.unpack_face(dev, INFO_HALO_UNPACK, field, axis, side, &plane);
-                    self.recycle(axis, plane);
-                }
-            }
-        }
-        if pending.overlap {
-            comm.recorder().record(Event::End {
-                name: HALO_OVERLAP_STAGE,
-            });
-        } else {
-            comm.recorder().record(Event::Halo {
-                msgs: pending.msgs,
-                bytes: pending.bytes,
-            });
-        }
+        self.complete(dev, comm, pending, &mut [field]);
     }
 
     /// Exchange all interface ghost layers of `field` with the neighbours
@@ -450,125 +514,25 @@ impl<T: Scalar> HaloExchange<T> {
     /// Physical-boundary ghosts are left untouched (the boundary-condition
     /// kernel owns them). One [`Event::Halo`] with the total message count
     /// and bytes is recorded on the communicator's recorder.
-    pub fn exchange<D: Device, C: Communicator<T>>(&self, dev: &D, comm: &C, field: &mut Field<T>) {
-        let pending = self.begin_impl(dev, comm, field, false);
+    pub fn exchange<S: Scalar, D: Device, C: Communicator<T>>(
+        &self,
+        dev: &D,
+        comm: &C,
+        field: &mut Field<S>,
+    ) {
+        let pending = self.post(dev, comm, &[&*field], Wire::new::<S, T>(None), false);
         self.finish(dev, comm, pending, field);
     }
 
-    fn begin_f32_impl<D: Device, C: Communicator<T>>(
-        &self,
-        dev: &D,
-        comm: &C,
-        field: &Field<f32>,
-        overlap: bool,
-    ) -> PendingExchangeF32 {
-        // Post all receives first, on the f32 tag band so the half-size
-        // payloads never share a (channel, tag) with full-precision faces.
-        let mut recvs: [[Option<RecvRequest>; 2]; 3] = [[None; 2]; 3];
-        for (axis, slots) in recvs.iter_mut().enumerate() {
-            for (side, slot) in slots.iter_mut().enumerate() {
-                if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
-                    *slot = Some(comm.irecv(neighbor, face_tag_f32(axis, 1 - side)));
-                }
-            }
-        }
-        // ...then all sends: device-pack the f32 face plane, bit-pack it
-        // into `T` wire words (two lanes per f64 word) and ship those
-        // through the communicator's native channels — the wire bytes
-        // are the word bytes, i.e. genuinely about half the f64 face.
-        let mut msgs = 0u32;
-        let mut bytes = 0u64;
-        for axis in 0..3 {
-            for side in 0..2 {
-                if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
-                    let mut staging = self.acquire_f32(axis);
-                    self.pack_face(dev, INFO_HALO_PACK_F32, field, axis, side, &mut staging);
-                    let mut words = self.acquire_len(axis, self.wire_len(axis));
-                    T::pack_f32_words(&staging, &mut words);
-                    self.recycle_f32(axis, staging);
-                    bytes += (words.len() * T::BYTES) as u64;
-                    msgs += 1;
-                    comm.send(neighbor, face_tag_f32(axis, side), words);
-                }
-            }
-        }
-        if overlap {
-            comm.recorder().record(Event::Begin {
-                name: HALO_OVERLAP_STAGE,
-            });
-            comm.recorder().record(Event::Halo { msgs, bytes });
-        }
-        dev.on_exchange_begin(self.hazard(field));
-        PendingExchangeF32 {
-            recvs,
-            msgs,
-            bytes,
-            overlap,
-        }
-    }
-
-    /// Start a split-phase single-precision exchange of `field`'s
-    /// interface ghosts (the mixed-precision preconditioner path).
-    ///
-    /// Identical contract to [`HaloExchange::begin`], but each face
-    /// travels as `f32` bit patterns packed into `T` wire words, so the
-    /// message payload is roughly half the full-precision one. Must be
-    /// completed with [`HaloExchange::finish_f32`].
-    pub fn begin_f32<D: Device, C: Communicator<T>>(
-        &self,
-        dev: &D,
-        comm: &C,
-        field: &Field<f32>,
-    ) -> PendingExchangeF32 {
-        self.begin_f32_impl(dev, comm, field, true)
-    }
-
-    /// Complete a split-phase single-precision exchange: wait for every
-    /// posted receive, unpack the wire words back into `f32` ghost
-    /// planes bit-exactly, and recycle all buffers into the pools.
-    pub fn finish_f32<D: Device, C: Communicator<T>>(
-        &self,
-        dev: &D,
-        comm: &C,
-        pending: PendingExchangeF32,
-        field: &mut Field<f32>,
-    ) {
-        dev.on_exchange_finish(self.hazard(field));
-        for (axis, slots) in pending.recvs.iter().enumerate() {
-            for (side, slot) in slots.iter().enumerate() {
-                if let Some(req) = slot {
-                    let words = comm.wait(*req);
-                    assert_eq!(words.len(), self.wire_len(axis), "f32 wire length mismatch");
-                    let mut staging = self.acquire_f32(axis);
-                    T::unpack_f32_words(&words, &mut staging);
-                    self.recycle(axis, words);
-                    self.unpack_face(dev, INFO_HALO_UNPACK_F32, field, axis, side, &staging);
-                    self.recycle_f32(axis, staging);
-                }
-            }
-        }
-        if pending.overlap {
-            comm.recorder().record(Event::End {
-                name: HALO_OVERLAP_STAGE,
-            });
-        } else {
-            comm.recorder().record(Event::Halo {
-                msgs: pending.msgs,
-                bytes: pending.bytes,
-            });
-        }
-    }
-
-    /// Synchronous single-precision exchange (begin + finish back to
-    /// back) — the mixed-precision analogue of [`HaloExchange::exchange`].
+    /// Synchronous single-precision exchange: [`HaloExchange::exchange`]
+    /// of an `f32` field.
     pub fn exchange_f32<D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
         field: &mut Field<f32>,
     ) {
-        let pending = self.begin_f32_impl(dev, comm, field, false);
-        self.finish_f32(dev, comm, pending, field);
+        self.exchange(dev, comm, field);
     }
 
     /// Exchange the interface ghost layers of **every** field in `fields`
@@ -590,74 +554,12 @@ impl<T: Scalar> HaloExchange<T> {
         comm: &C,
         fields: &mut [&mut Field<T>],
     ) {
-        let nl = fields.len();
-        if nl == 0 {
+        if fields.is_empty() {
             return;
         }
-        // Post all receives first (`MPI_Irecv`), then all packed sends,
-        // exactly like the solo exchange.
-        let mut recvs: [[Option<RecvRequest>; 2]; 3] = [[None; 2]; 3];
-        for (axis, slots) in recvs.iter_mut().enumerate() {
-            for (side, slot) in slots.iter_mut().enumerate() {
-                if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
-                    *slot = Some(comm.irecv(neighbor, batch_face_tag(axis, 1 - side, nl)));
-                }
-            }
-        }
-        let mut msgs = 0u32;
-        let mut bytes = 0u64;
-        for axis in 0..3 {
-            let flen = self.face_len(axis);
-            for side in 0..2 {
-                if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
-                    let mut face = self.acquire_lanes(axis, nl);
-                    for (b, field) in fields.iter().enumerate() {
-                        self.pack_face(
-                            dev,
-                            INFO_HALO_PACK,
-                            field,
-                            axis,
-                            side,
-                            &mut face[b * flen..(b + 1) * flen],
-                        );
-                    }
-                    bytes += (face.len() * T::BYTES) as u64;
-                    msgs += 1;
-                    comm.send(neighbor, batch_face_tag(axis, side, nl), face);
-                }
-            }
-        }
-        // The exchange owns every lane's interface ghosts from here until
-        // the unpack below; mirror the solo begin/finish hook pairing for
-        // sanitizing device wrappers (the window is empty — this exchange
-        // is synchronous).
-        for field in fields.iter() {
-            dev.on_exchange_begin(self.hazard(field));
-        }
-        for field in fields.iter() {
-            dev.on_exchange_finish(self.hazard(field));
-        }
-        for (axis, slots) in recvs.iter().enumerate() {
-            let flen = self.face_len(axis);
-            for (side, slot) in slots.iter().enumerate() {
-                if let Some(req) = slot {
-                    let plane = comm.wait(*req);
-                    assert_eq!(plane.len(), nl * flen, "batched halo plane size mismatch");
-                    for (b, field) in fields.iter_mut().enumerate() {
-                        self.unpack_face(
-                            dev,
-                            INFO_HALO_UNPACK,
-                            field,
-                            axis,
-                            side,
-                            &plane[b * flen..(b + 1) * flen],
-                        );
-                    }
-                    self.recycle(axis, plane);
-                }
-            }
-        }
-        comm.recorder().record(Event::Halo { msgs, bytes });
+        let wire = Wire::new::<T, T>(Some(fields.len()));
+        let pending = self.post(dev, comm, fields, wire, false);
+        self.complete(dev, comm, pending, fields);
     }
 }
 
@@ -1125,8 +1027,8 @@ mod tests {
             let grid = BlockGrid::new(global, decomp, comm.rank());
             let mut field = make_field_f32(&dev, &grid);
             let halo = HaloExchange::<f64>::new(&grid);
-            let pending = halo.begin_f32(&dev, &comm, &field);
-            halo.finish_f32(&dev, &comm, pending, &mut field);
+            let pending = halo.begin(&dev, &comm, &field);
+            halo.finish(&dev, &comm, pending, &mut field);
             check_ghosts_f32(&grid, &field);
         });
     }
@@ -1178,9 +1080,9 @@ mod tests {
             let grid = BlockGrid::new(global, decomp, comm.rank());
             let field = make_field_f32(&dev, &grid);
             let halo = HaloExchange::<f64>::new(&grid);
-            let pending = halo.begin_f32(&dev, &comm, &field);
+            let pending = halo.begin(&dev, &comm, &field);
             let mut field = field;
-            halo.finish_f32(&dev, &comm, pending, &mut field);
+            halo.finish(&dev, &comm, pending, &mut field);
         });
         for rec in &handles {
             let evs = rec.snapshot();
@@ -1214,8 +1116,8 @@ mod tests {
             let mut narrow = make_field_f32(&dev, &grid);
             let halo = HaloExchange::<f64>::new(&grid);
             let pending_wide = halo.begin(&dev, &comm, &wide);
-            let pending_narrow = halo.begin_f32(&dev, &comm, &narrow);
-            halo.finish_f32(&dev, &comm, pending_narrow, &mut narrow);
+            let pending_narrow = halo.begin(&dev, &comm, &narrow);
+            halo.finish(&dev, &comm, pending_narrow, &mut narrow);
             halo.finish(&dev, &comm, pending_wide, &mut wide);
             check_ghosts(&grid, &wide);
             check_ghosts_f32(&grid, &narrow);
@@ -1223,29 +1125,67 @@ mod tests {
     }
 
     #[test]
-    fn f32_buffers_recycle_through_both_pools() {
+    fn f32_buffers_recycle_through_the_shared_pool() {
         let decomp = Decomp::new([2, 1, 1]);
         run_ranks::<f64, _, _>(2, ReduceOrder::RankOrder, |comm| {
             let dev = Serial::new(Recorder::disabled());
             let global = GlobalGrid::dirichlet([6, 3, 3], [0.1; 3], [0.0; 3]);
             let grid = BlockGrid::new(global, decomp, comm.rank());
+            let mut wide = make_field(&dev, &grid);
             let mut field = make_field_f32(&dev, &grid);
             let halo = HaloExchange::<f64>::new(&grid);
             for _ in 0..4 {
+                halo.exchange(&dev, &comm, &mut wide);
                 halo.exchange_f32(&dev, &comm, &mut field);
             }
-            // One interface face along x: the wire words recycle through
-            // the shared word pool and the staging plane through the f32
-            // pool, one buffer each in steady state.
+            // One interface face along x: full-width faces and packed
+            // wire words recycle through the same axis-0 free list, one
+            // buffer in steady state.
             let pool = halo.pool.lock().unwrap();
-            let pool_f32 = halo.pool_f32.lock().unwrap();
-            assert_eq!(pool[0].len(), 1, "axis-0 word pool should hold one buffer");
-            assert_eq!(
-                pool_f32[0].len(),
-                1,
-                "axis-0 staging pool should hold one buffer"
-            );
+            assert_eq!(pool[0].len(), 1, "axis-0 pool should hold one buffer");
         });
+    }
+
+    #[test]
+    fn f32_wire_words_pack_two_lanes_per_f64_word() {
+        // Odd length exercises the zero high tail lane; NaN payload bits
+        // and signed zero exercise bit preservation (not value equality).
+        let wire = Wire::new::<f32, f64>(None);
+        assert_eq!((wire.lanes, wire.band), (2, 6));
+        let src = [1.5f32, -0.0, f32::from_bits(0x7fc0_dead), 3.25e-38, -7.0];
+        let mut words: Vec<f64> = src
+            .iter()
+            .map(|v| f64::from_bits64(v.to_bits64()))
+            .collect();
+        wire.squeeze(&mut words);
+        assert_eq!(words.len(), 3);
+        let w0 = words[0].to_bits();
+        assert_eq!(
+            w0 as u32,
+            src[0].to_bits(),
+            "lane 0 rides in the low 32 bits"
+        );
+        assert_eq!((w0 >> 32) as u32, src[1].to_bits());
+        assert_eq!(
+            words[2].to_bits() >> 32,
+            0,
+            "the tail word's high lane is zero"
+        );
+        wire.unsqueeze(&mut words, src.len());
+        for (a, w) in src.iter().zip(&words) {
+            assert_eq!(a.to_bits(), f32::from_bits64(w.to_bits64()).to_bits());
+        }
+    }
+
+    #[test]
+    fn wire_bands_keep_channel_sizes_fixed() {
+        assert_eq!(Wire::new::<f64, f64>(None).band, 0);
+        assert_eq!(Wire::new::<f64, f64>(Some(1)).band, 12);
+        assert_eq!(Wire::new::<f64, f64>(Some(4)).band, 30);
+        assert_eq!(Wire::new::<f32, f32>(None).lanes, 1);
+        let narrow = Wire::new::<f32, f64>(None);
+        assert_eq!(narrow.pack.name, "KernelHaloPackF32");
+        assert_eq!(narrow.unpack.name, "KernelHaloUnpackF32");
     }
 
     #[test]

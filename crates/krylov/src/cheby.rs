@@ -15,13 +15,13 @@
 //! * [`ChebyMode::BlockJacobi`] — same restricted operator but with the
 //!   *local* subdomain bounds (`BJ(CI)`, Eq. 14).
 
-use accel::{Device, Scalar};
+use accel::{Device, KernelInfo, Scalar};
 use blockgrid::Field;
 use comm::Communicator;
 use stencil::{apply_physical_bcs, spectrum, SpectralBounds};
 
 use crate::ctx::RankCtx;
-use crate::kernels::{INFO_CI1, INFO_CI2, INFO_SCALE};
+use crate::kernels::{INFO_CI1, INFO_CI1_F32, INFO_CI2, INFO_CI2_F32, INFO_SCALE, INFO_SCALE_F32};
 
 /// Communication flavour of the Chebyshev iteration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,10 +57,10 @@ pub fn local_bounds<T: Scalar, D: Device, C: Communicator<T>>(
 }
 
 /// Refresh a field's ghost layers according to the iteration's mode.
-fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
+fn refresh_ghosts<S: Scalar, T: Scalar, D: Device, C: Communicator<T>>(
     mode: ChebyMode,
     ctx: &RankCtx<T, D, C>,
-    f: &mut Field<T>,
+    f: &mut Field<S>,
 ) {
     match mode {
         ChebyMode::Global => {
@@ -74,22 +74,32 @@ fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
 }
 
 /// A configured Chebyshev iteration with its own rotation buffers.
-pub struct ChebyshevIteration<T> {
+///
+/// The sweeps run on `S` fields under an outer solve of scalar `T`
+/// (the rank context's): `S = T` is the paper's preconditioner, and
+/// `S = f32` under `T = f64` is the mixed-precision one
+/// ([`crate::MixedChebyshev`]), whose halo messages then travel in the
+/// half-width wire format and whose sweeps book the `f32` kernel
+/// traffic. The `(θ, δ, σ)` parameters and the `ρ` recurrence stay on
+/// the host in `f64`; each sweep's coefficients round to `S` once.
+pub struct ChebyshevIteration<S> {
     mode: ChebyMode,
     iterations: usize,
     overlap: bool,
     theta: f64,
     delta: f64,
     sigma: f64,
-    z: Field<T>,
-    y: Field<T>,
-    w: Field<T>,
+    /// `[scale, CI1, CI2]` kernel accounting at this sweep width.
+    info: [KernelInfo; 3],
+    z: Field<S>,
+    y: Field<S>,
+    w: Field<S>,
 }
 
-impl<T: Scalar> ChebyshevIteration<T> {
+impl<S: Scalar> ChebyshevIteration<S> {
     /// Configure the iteration for `ctx` with the given (already
     /// rescaled) spectral bounds and sweep count (`iterMax >= 1`).
-    pub fn new<D: Device, C: Communicator<T>>(
+    pub fn new<T: Scalar, D: Device, C: Communicator<T>>(
         ctx: &RankCtx<T, D, C>,
         mode: ChebyMode,
         bounds: SpectralBounds,
@@ -100,10 +110,15 @@ impl<T: Scalar> ChebyshevIteration<T> {
             bounds.min > 0.0 && bounds.max > bounds.min,
             "Chebyshev needs 0 < min < max, got {bounds:?}"
         );
-        // Eq. 15
+        // Eq. 15, in full precision on the host.
         let theta = 0.5 * (bounds.max + bounds.min);
         let delta = 0.5 * (bounds.max - bounds.min);
         let sigma = theta / delta;
+        let info = if S::BYTES < T::BYTES {
+            [INFO_SCALE_F32, INFO_CI1_F32, INFO_CI2_F32]
+        } else {
+            [INFO_SCALE, INFO_CI1, INFO_CI2]
+        };
         Self {
             mode,
             iterations,
@@ -111,9 +126,10 @@ impl<T: Scalar> ChebyshevIteration<T> {
             theta,
             delta,
             sigma,
-            z: ctx.field(),
-            y: ctx.field(),
-            w: ctx.field(),
+            info,
+            z: Field::zeros(&ctx.dev, &ctx.grid),
+            y: Field::zeros(&ctx.dev, &ctx.grid),
+            w: Field::zeros(&ctx.dev, &ctx.grid),
         }
     }
 
@@ -144,12 +160,25 @@ impl<T: Scalar> ChebyshevIteration<T> {
     ///
     /// `b`'s ghost layers are refreshed (its interior is unchanged);
     /// returns the number of sweeps performed.
-    pub fn solve<D: Device, C: Communicator<T>>(
+    pub fn solve<T: Scalar, D: Device, C: Communicator<T>>(
         &mut self,
         ctx: &RankCtx<T, D, C>,
-        b: &mut Field<T>,
-        x: &mut Field<T>,
+        b: &mut Field<S>,
+        x: &mut Field<S>,
     ) -> usize {
+        x.copy_from(self.sweep(ctx, b));
+        self.iterations
+    }
+
+    /// The sweeps of [`ChebyshevIteration::solve`], returning the
+    /// iteration's own result field (valid until the next call) so a
+    /// caller that converts it anyway skips the copy.
+    pub(crate) fn sweep<T: Scalar, D: Device, C: Communicator<T>>(
+        &mut self,
+        ctx: &RankCtx<T, D, C>,
+        b: &mut Field<S>,
+    ) -> &Field<S> {
+        let [info_scale, info_ci1, info_ci2] = self.info;
         let theta = self.theta;
         let delta = self.delta;
         let sigma = self.sigma;
@@ -162,24 +191,24 @@ impl<T: Scalar> ChebyshevIteration<T> {
         // KernelCI1: z = b/θ ; y = 2 ρ/δ (2 b − A b / θ). Overlapped, the
         // exchange of b's halos hides behind the ghost-independent scale
         // kernel and the deep-interior part of the sweep.
-        let c1 = T::from_f64(4.0 * rho_cur / delta);
-        let ca = T::from_f64(-2.0 * rho_cur / (delta * theta));
-        let inv_theta = T::from_f64(1.0 / theta);
+        let c1 = S::from_f64(4.0 * rho_cur / delta);
+        let ca = S::from_f64(-2.0 * rho_cur / (delta * theta));
+        let inv_theta = S::from_f64(1.0 / theta);
         if overlap {
             let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, b);
             apply_physical_bcs(&ctx.grid, b, &ctx.recorder, false);
-            crate::kernels::scale(&ctx.dev, INFO_SCALE, &ctx.grid, &mut self.z, b, inv_theta);
+            crate::kernels::scale(&ctx.dev, info_scale, &ctx.grid, &mut self.z, b, inv_theta);
             ctx.lap
-                .apply_combine_interior(&ctx.dev, INFO_CI1, b, &mut self.y, ca, &[(b, c1)]);
+                .apply_combine_interior(&ctx.dev, info_ci1, b, &mut self.y, ca, &[(b, c1)]);
             ctx.halo.finish(&ctx.dev, &ctx.comm, pending, b);
             ctx.lap
-                .apply_combine_shell(&ctx.dev, INFO_CI1, b, &mut self.y, ca, &[(b, c1)]);
+                .apply_combine_shell(&ctx.dev, info_ci1, b, &mut self.y, ca, &[(b, c1)]);
         } else {
             // MPI1 + KernelNeumannBCs on b
             refresh_ghosts(self.mode, ctx, b);
-            crate::kernels::scale(&ctx.dev, INFO_SCALE, &ctx.grid, &mut self.z, b, inv_theta);
+            crate::kernels::scale(&ctx.dev, info_scale, &ctx.grid, &mut self.z, b, inv_theta);
             ctx.lap
-                .apply_combine(&ctx.dev, INFO_CI1, b, &mut self.y, ca, &[(b, c1)]);
+                .apply_combine(&ctx.dev, info_ci1, b, &mut self.y, ca, &[(b, c1)]);
         }
 
         for _i in 2..=self.iterations {
@@ -187,10 +216,10 @@ impl<T: Scalar> ChebyshevIteration<T> {
             rho_old = rho_cur;
             rho_cur = 1.0 / (2.0 * sigma - rho_old);
             // KernelCI2: w = ρ (2σ y + 2/δ (b − A y) − ρ_old z)
-            let ca = T::from_f64(-2.0 * rho_cur / delta);
-            let cy = T::from_f64(2.0 * sigma * rho_cur);
-            let cb = T::from_f64(2.0 * rho_cur / delta);
-            let cz = T::from_f64(-rho_cur * rho_old);
+            let ca = S::from_f64(-2.0 * rho_cur / delta);
+            let cy = S::from_f64(2.0 * sigma * rho_cur);
+            let cb = S::from_f64(2.0 * rho_cur / delta);
+            let cz = S::from_f64(-rho_cur * rho_old);
             if overlap {
                 // MPI2 in flight behind BCs + the deep-interior sweep
                 let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &self.y);
@@ -198,7 +227,7 @@ impl<T: Scalar> ChebyshevIteration<T> {
                 let (y_ref, z_ref, w_mut) = (&self.y, &self.z, &mut self.w);
                 ctx.lap.apply_combine_interior(
                     &ctx.dev,
-                    INFO_CI2,
+                    info_ci2,
                     y_ref,
                     w_mut,
                     ca,
@@ -208,7 +237,7 @@ impl<T: Scalar> ChebyshevIteration<T> {
                 let (y_ref, z_ref, w_mut) = (&self.y, &self.z, &mut self.w);
                 ctx.lap.apply_combine_shell(
                     &ctx.dev,
-                    INFO_CI2,
+                    info_ci2,
                     y_ref,
                     w_mut,
                     ca,
@@ -221,7 +250,7 @@ impl<T: Scalar> ChebyshevIteration<T> {
                 let (y_ref, z_ref, w_mut) = (&self.y, &self.z, &mut self.w);
                 ctx.lap.apply_combine(
                     &ctx.dev,
-                    INFO_CI2,
+                    info_ci2,
                     y_ref,
                     w_mut,
                     ca,
@@ -232,8 +261,7 @@ impl<T: Scalar> ChebyshevIteration<T> {
             self.z.swap(&mut self.y);
             self.y.swap(&mut self.w);
         }
-        x.copy_from(&self.y);
-        self.iterations
+        &self.y
     }
 }
 
@@ -371,7 +399,7 @@ mod tests {
     #[test]
     fn parameters_follow_eq15() {
         let ctx = ctx_single(4);
-        let cheb = ChebyshevIteration::new(
+        let cheb = ChebyshevIteration::<f64>::new(
             &ctx,
             ChebyMode::Global,
             SpectralBounds {
@@ -503,7 +531,7 @@ mod tests {
     #[should_panic(expected = "at least one sweep")]
     fn zero_iterations_rejected() {
         let ctx = ctx_single(3);
-        let _ = ChebyshevIteration::new(
+        let _ = ChebyshevIteration::<f64>::new(
             &ctx,
             ChebyMode::Global,
             SpectralBounds { min: 1.0, max: 2.0 },

@@ -6,9 +6,8 @@ use comm::Communicator;
 use crate::bicgstab::Scope;
 use crate::cheby::{global_bounds, local_bounds, ChebyMode};
 use crate::ctx::RankCtx;
-use crate::precond::{
-    ChebyPrecond, IdentityPrec, InnerBiCgsPrec, MixedChebyPrecond, PrecTraits, Preconditioner,
-};
+use crate::mixed::MixedChebyshev;
+use crate::precond::{ChebyPrecond, IdentityPrec, InnerBiCgsPrec, PrecTraits, Preconditioner};
 
 /// One of the six solvers evaluated in the paper (Table I / Table II).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -199,7 +198,7 @@ where
     C: Communicator<T>,
 {
     if opts.mixed_precision {
-        let mut p = MixedChebyPrecond::new(ctx, mode, bounds, opts.ci_iterations);
+        let mut p = MixedChebyshev::new(ctx, mode, bounds, opts.ci_iterations);
         p.set_overlap(opts.overlap_halo);
         Box::new(p)
     } else {

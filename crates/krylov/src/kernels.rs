@@ -549,15 +549,15 @@ pub fn norm2_local<T: Scalar, D: Device>(
     dot(dev, info, grid, a, a)
 }
 
-/// `out ← (f32) src` over the interior: the rounding boundary of the
-/// mixed-precision preconditioner. Each element rounds to the nearest
-/// representable `f32` (ties to even); ghosts are not touched — the
-/// caller refreshes them in the target precision.
-pub fn cast_down<T: Scalar, D: Device>(
+/// `out ← (S) src` over the interior: the precision boundary of the
+/// mixed-precision preconditioner. A narrowing cast rounds each element
+/// to nearest (ties to even); widening `f32 → f64` is exact. Ghosts are
+/// not touched — the caller refreshes them in the target precision.
+pub fn cast<S: Scalar, T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
     grid: &BlockGrid,
-    out: &mut Field<f32>,
+    out: &mut Field<S>,
     src: &Field<T>,
 ) {
     let map = grid.interior_map();
@@ -567,29 +567,7 @@ pub fn cast_down<T: Scalar, D: Device>(
     dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
         let b = base0 + j * sy + k * sz;
         for (i, v) in row.iter_mut().enumerate() {
-            *v = ss[b + i].to_f64() as f32;
-        }
-    });
-}
-
-/// `out ← (T) src` over the interior — exact when `T = f64` (every
-/// `f32` is representable), so the up-cast out of the mixed-precision
-/// preconditioner introduces no rounding of its own.
-pub fn cast_up<T: Scalar, D: Device>(
-    dev: &D,
-    info: KernelInfo,
-    grid: &BlockGrid,
-    out: &mut Field<T>,
-    src: &Field<f32>,
-) {
-    let map = grid.interior_map();
-    let ss = src.as_slice();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
-    dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = T::from_f64(f64::from(ss[b + i]));
+            *v = S::from_f64(ss[b + i].to_f64());
         }
     });
 }
@@ -1082,12 +1060,12 @@ mod tests {
         let mut src = rng_field(&dev, &grid, 31);
         poison_ghosts(&grid, &mut src);
         let mut narrow = Field::<f32>::zeros(&dev, &grid);
-        cast_down(&dev, INFO_CAST_DOWN, &grid, &mut narrow, &src);
+        cast(&dev, INFO_CAST_DOWN, &grid, &mut narrow, &src);
         for v in narrow.as_slice() {
-            assert!(v.is_finite(), "cast_down touched a ghost");
+            assert!(v.is_finite(), "the down-cast touched a ghost");
         }
         let mut wide = Field::<f64>::zeros(&dev, &grid);
-        cast_up(&dev, INFO_CAST_UP, &grid, &mut wide, &narrow);
+        cast(&dev, INFO_CAST_UP, &grid, &mut wide, &narrow);
         let si = src.interior_to_host(&grid);
         let wi = wide.interior_to_host(&grid);
         for (a, b) in si.iter().zip(&wi) {

@@ -43,8 +43,6 @@ mod ctx;
 pub mod kernels;
 mod mixed;
 mod precond;
-mod richardson;
-mod schwarz;
 
 pub use bicgstab::{
     bicgstab_solve, bicgstab_solve_batch, Breakdown, Scope, SolveOutcome, SolveParams,
@@ -54,8 +52,4 @@ pub use cheby::{global_bounds, local_bounds, ChebyMode, ChebyOutcome, ChebyshevI
 pub use config::{SolverKind, SolverOptions};
 pub use ctx::{BatchWorkspace, RankCtx, Workspace};
 pub use mixed::MixedChebyshev;
-pub use precond::{
-    ChebyPrecond, IdentityPrec, InnerBiCgsPrec, MixedChebyPrecond, PrecTraits, Preconditioner,
-};
-pub use richardson::RichardsonPrec;
-pub use schwarz::RasPrec;
+pub use precond::{ChebyPrecond, IdentityPrec, InnerBiCgsPrec, PrecTraits, Preconditioner};

@@ -14,62 +14,32 @@
 //! would floor the achievable residual near `1e-7‖b‖`.
 //!
 //! The precision boundary is one rounding step on entry
-//! ([`crate::kernels::cast_down`], round-to-nearest-even per element)
-//! and an exact widening on exit ([`crate::kernels::cast_up`]); the
-//! Chebyshev coefficients are computed on the host in `f64` (Eq. 15)
-//! and rounded once per sweep, exactly as the `T_data = float` build of
-//! the paper's templated kernels would.
+//! ([`crate::kernels::cast`] with `KernelCastDown`, round-to-nearest-even
+//! per element) and an exact widening on exit (`KernelCastUp`); between
+//! them runs the ordinary [`ChebyshevIteration`] at `S = f32`, whose
+//! coefficients are computed on the host in `f64` (Eq. 15) and rounded
+//! once per sweep, exactly as the `T_data = float` build of the paper's
+//! templated kernels would.
 
 use accel::{Device, Scalar};
 use blockgrid::Field;
 use comm::Communicator;
-use stencil::{apply_physical_bcs, SpectralBounds};
+use stencil::SpectralBounds;
 
-use crate::cheby::ChebyMode;
+use crate::cheby::{ChebyMode, ChebyshevIteration};
 use crate::ctx::RankCtx;
-use crate::kernels::{
-    cast_down, cast_up, INFO_CAST_DOWN, INFO_CAST_UP, INFO_CI1_F32, INFO_CI2_F32, INFO_SCALE_F32,
-};
+use crate::kernels::{cast, INFO_CAST_DOWN, INFO_CAST_UP};
+use crate::precond::{PrecTraits, Preconditioner};
 
-/// Refresh a single-precision field's ghost layers according to the
-/// iteration's mode — the `f32` twin of the `f64` path, using the
-/// half-width halo wire format.
-fn refresh_ghosts_f32<T: Scalar, D: Device, C: Communicator<T>>(
-    mode: ChebyMode,
-    ctx: &RankCtx<T, D, C>,
-    f: &mut Field<f32>,
-) {
-    match mode {
-        ChebyMode::Global => {
-            ctx.halo.exchange_f32(&ctx.dev, &ctx.comm, f);
-            apply_physical_bcs(&ctx.grid, f, &ctx.recorder, false);
-        }
-        ChebyMode::GlobalNoComm | ChebyMode::BlockJacobi => {
-            apply_physical_bcs(&ctx.grid, f, &ctx.recorder, true);
-        }
-    }
-}
-
-/// A Chebyshev iteration whose sweeps, state and halo traffic are all
-/// `f32`, applied as a preconditioner inside an `f64` outer solve.
-///
-/// Mirrors [`crate::ChebyshevIteration`] sweep for sweep (including the
-/// split-phase halo overlap of the `Global` mode); only the element
-/// width differs. The `(θ, δ, σ)` parameters and the `ρ` recurrence
-/// stay on the host in `f64` — each sweep's coefficients are rounded
-/// to `f32` once, so the iteration is a *fixed* single-precision
-/// polynomial in exact arithmetic terms.
+/// The Chebyshev preconditioner with every sweep, state buffer and halo
+/// message in `f32`, applied inside an outer solve of any precision:
+/// cast down → [`ChebyshevIteration<f32>`] → cast up. Still a fixed,
+/// reduction-free operator — the rounding is deterministic and
+/// identical every application.
 pub struct MixedChebyshev {
-    mode: ChebyMode,
-    iterations: usize,
-    overlap: bool,
-    theta: f64,
-    delta: f64,
-    sigma: f64,
     b32: Field<f32>,
-    z: Field<f32>,
-    y: Field<f32>,
-    w: Field<f32>,
+    cheby: ChebyshevIteration<f32>,
+    name: &'static str,
 }
 
 impl MixedChebyshev {
@@ -81,55 +51,33 @@ impl MixedChebyshev {
         bounds: SpectralBounds,
         iterations: usize,
     ) -> Self {
-        assert!(iterations >= 1, "Chebyshev needs at least one sweep");
-        assert!(
-            bounds.min > 0.0 && bounds.max > bounds.min,
-            "Chebyshev needs 0 < min < max, got {bounds:?}"
-        );
-        // Eq. 15, in full precision on the host.
-        let theta = 0.5 * (bounds.max + bounds.min);
-        let delta = 0.5 * (bounds.max - bounds.min);
-        let sigma = theta / delta;
+        let name = match mode {
+            ChebyMode::Global => "G(CI/f32)",
+            ChebyMode::GlobalNoComm => "GNoComm(CI/f32)",
+            ChebyMode::BlockJacobi => "BJ(CI/f32)",
+        };
         Self {
-            mode,
-            iterations,
-            overlap: true,
-            theta,
-            delta,
-            sigma,
             b32: Field::zeros(&ctx.dev, &ctx.grid),
-            z: Field::zeros(&ctx.dev, &ctx.grid),
-            y: Field::zeros(&ctx.dev, &ctx.grid),
-            w: Field::zeros(&ctx.dev, &ctx.grid),
+            cheby: ChebyshevIteration::new(ctx, mode, bounds, iterations),
+            name,
         }
     }
 
-    /// Enable or disable split-phase halo overlap in [`ChebyMode::Global`]
-    /// (on by default; no effect in the communication-free modes). The
-    /// sweeps are bitwise-identical either way.
+    /// The underlying single-precision iteration.
+    pub fn iteration(&self) -> &ChebyshevIteration<f32> {
+        &self.cheby
+    }
+
+    /// Enable or disable split-phase halo overlap (forwards to
+    /// [`ChebyshevIteration::set_overlap`]).
     pub fn set_overlap(&mut self, on: bool) {
-        self.overlap = on;
-    }
-
-    /// Number of sweeps per application.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// The iteration's communication flavour.
-    pub fn mode(&self) -> ChebyMode {
-        self.mode
-    }
-
-    /// The Chebyshev parameters `(θ, δ, σ)` of Eq. 15 (host `f64`).
-    pub fn parameters(&self) -> (f64, f64, f64) {
-        (self.theta, self.delta, self.sigma)
+        self.cheby.set_overlap(on);
     }
 
     /// Run `iterMax` single-precision sweeps of Algorithm 4, writing
     /// `x ≈ A⁻¹ b` widened back to the outer precision. `b`'s interior
-    /// is read once through the rounding down-cast; its `f64` ghosts are
-    /// left untouched (the iteration refreshes its *own* `f32` ghosts).
+    /// is read once through the rounding down-cast; its ghosts are left
+    /// untouched (the iteration refreshes its *own* `f32` ghosts).
     /// Returns the number of sweeps performed.
     pub fn solve<T: Scalar, D: Device, C: Communicator<T>>(
         &mut self,
@@ -137,123 +85,28 @@ impl MixedChebyshev {
         b: &Field<T>,
         x: &mut Field<T>,
     ) -> usize {
-        // The precision boundary: one rounding step on entry.
-        cast_down(&ctx.dev, INFO_CAST_DOWN, &ctx.grid, &mut self.b32, b);
+        cast(&ctx.dev, INFO_CAST_DOWN, &ctx.grid, &mut self.b32, b);
+        let y = self.cheby.sweep(ctx, &mut self.b32);
+        cast(&ctx.dev, INFO_CAST_UP, &ctx.grid, x, y);
+        self.cheby.iterations()
+    }
+}
 
-        let theta = self.theta;
-        let delta = self.delta;
-        let sigma = self.sigma;
-        let mut rho_old = 1.0 / sigma;
-        let mut rho_cur = 1.0 / (2.0 * sigma - rho_old);
+impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for MixedChebyshev {
+    fn apply(&mut self, ctx: &RankCtx<T, D, C>, rhs: &mut Field<T>, out: &mut Field<T>) -> usize {
+        self.solve(ctx, rhs, out)
+    }
 
-        // Split-phase overlap only makes sense when the mode communicates.
-        let overlap = self.overlap && self.mode == ChebyMode::Global;
-
-        // KernelCI1f32: z = b/θ ; y = 2 ρ/δ (2 b − A b / θ). Coefficients
-        // round host-f64 → f32 once per sweep.
-        let c1 = (4.0 * rho_cur / delta) as f32;
-        let ca = (-2.0 * rho_cur / (delta * theta)) as f32;
-        let inv_theta = (1.0 / theta) as f32;
-        if overlap {
-            let pending = ctx.halo.begin_f32(&ctx.dev, &ctx.comm, &self.b32);
-            apply_physical_bcs(&ctx.grid, &mut self.b32, &ctx.recorder, false);
-            crate::kernels::scale(
-                &ctx.dev,
-                INFO_SCALE_F32,
-                &ctx.grid,
-                &mut self.z,
-                &self.b32,
-                inv_theta,
-            );
-            ctx.lap.apply_combine_interior(
-                &ctx.dev,
-                INFO_CI1_F32,
-                &self.b32,
-                &mut self.y,
-                ca,
-                &[(&self.b32, c1)],
-            );
-            ctx.halo
-                .finish_f32(&ctx.dev, &ctx.comm, pending, &mut self.b32);
-            ctx.lap.apply_combine_shell(
-                &ctx.dev,
-                INFO_CI1_F32,
-                &self.b32,
-                &mut self.y,
-                ca,
-                &[(&self.b32, c1)],
-            );
-        } else {
-            refresh_ghosts_f32(self.mode, ctx, &mut self.b32);
-            crate::kernels::scale(
-                &ctx.dev,
-                INFO_SCALE_F32,
-                &ctx.grid,
-                &mut self.z,
-                &self.b32,
-                inv_theta,
-            );
-            ctx.lap.apply_combine(
-                &ctx.dev,
-                INFO_CI1_F32,
-                &self.b32,
-                &mut self.y,
-                ca,
-                &[(&self.b32, c1)],
-            );
+    fn traits(&self) -> PrecTraits {
+        PrecTraits {
+            fixed: true,
+            comm_free: self.cheby.mode().comm_free(),
+            reduction_free: true,
         }
+    }
 
-        for _i in 2..=self.iterations {
-            // host-side ρ recurrence, still in f64
-            rho_old = rho_cur;
-            rho_cur = 1.0 / (2.0 * sigma - rho_old);
-            // KernelCI2f32: w = ρ (2σ y + 2/δ (b − A y) − ρ_old z)
-            let ca = (-2.0 * rho_cur / delta) as f32;
-            let cy = (2.0 * sigma * rho_cur) as f32;
-            let cb = (2.0 * rho_cur / delta) as f32;
-            let cz = (-rho_cur * rho_old) as f32;
-            if overlap {
-                let pending = ctx.halo.begin_f32(&ctx.dev, &ctx.comm, &self.y);
-                apply_physical_bcs(&ctx.grid, &mut self.y, &ctx.recorder, false);
-                let (y_ref, z_ref, b_ref, w_mut) = (&self.y, &self.z, &self.b32, &mut self.w);
-                ctx.lap.apply_combine_interior(
-                    &ctx.dev,
-                    INFO_CI2_F32,
-                    y_ref,
-                    w_mut,
-                    ca,
-                    &[(y_ref, cy), (b_ref, cb), (z_ref, cz)],
-                );
-                ctx.halo
-                    .finish_f32(&ctx.dev, &ctx.comm, pending, &mut self.y);
-                let (y_ref, z_ref, b_ref, w_mut) = (&self.y, &self.z, &self.b32, &mut self.w);
-                ctx.lap.apply_combine_shell(
-                    &ctx.dev,
-                    INFO_CI2_F32,
-                    y_ref,
-                    w_mut,
-                    ca,
-                    &[(y_ref, cy), (b_ref, cb), (z_ref, cz)],
-                );
-            } else {
-                refresh_ghosts_f32(self.mode, ctx, &mut self.y);
-                let (y_ref, z_ref, b_ref, w_mut) = (&self.y, &self.z, &self.b32, &mut self.w);
-                ctx.lap.apply_combine(
-                    &ctx.dev,
-                    INFO_CI2_F32,
-                    y_ref,
-                    w_mut,
-                    ca,
-                    &[(y_ref, cy), (b_ref, cb), (z_ref, cz)],
-                );
-            }
-            // pointer rotation: z ← y, y ← w
-            self.z.swap(&mut self.y);
-            self.y.swap(&mut self.w);
-        }
-        // Exact widening on exit: every f32 is representable in f64.
-        cast_up(&ctx.dev, INFO_CAST_UP, &ctx.grid, x, &self.y);
-        self.iterations
+    fn name(&self) -> &'static str {
+        self.name
     }
 }
 
@@ -292,10 +145,10 @@ mod tests {
             max: 10.0,
         };
         let mixed = MixedChebyshev::new(&ctx, ChebyMode::Global, bounds, 3);
-        let wide = ChebyshevIteration::new(&ctx, ChebyMode::Global, bounds, 3);
-        assert_eq!(mixed.parameters(), wide.parameters());
-        assert_eq!(mixed.iterations(), 3);
-        assert_eq!(mixed.mode(), ChebyMode::Global);
+        let wide = ChebyshevIteration::<f64>::new(&ctx, ChebyMode::Global, bounds, 3);
+        assert_eq!(mixed.iteration().parameters(), wide.parameters());
+        assert_eq!(mixed.iteration().iterations(), 3);
+        assert_eq!(mixed.iteration().mode(), ChebyMode::Global);
     }
 
     #[test]

@@ -130,67 +130,6 @@ impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for Cheby
     }
 }
 
-/// Mixed-precision Chebyshev preconditioner: the same fixed polynomial
-/// as [`ChebyPrecond`] with every sweep, state buffer and halo message
-/// in `f32` under the `f64` outer recurrence. Still fixed (the rounding
-/// is deterministic and identical every application), still
-/// reduction-free; the preconditioner's streamed bytes and wire
-/// payloads roughly halve.
-pub struct MixedChebyPrecond {
-    cheby: crate::mixed::MixedChebyshev,
-    name: &'static str,
-}
-
-impl MixedChebyPrecond {
-    /// Build a mixed-precision Chebyshev preconditioner in the given
-    /// mode with the given (already rescaled) bounds and sweep count.
-    pub fn new<T: Scalar, D: Device, C: Communicator<T>>(
-        ctx: &RankCtx<T, D, C>,
-        mode: ChebyMode,
-        bounds: SpectralBounds,
-        iterations: usize,
-    ) -> Self {
-        let name = match mode {
-            ChebyMode::Global => "G(CI/f32)",
-            ChebyMode::GlobalNoComm => "GNoComm(CI/f32)",
-            ChebyMode::BlockJacobi => "BJ(CI/f32)",
-        };
-        Self {
-            cheby: crate::mixed::MixedChebyshev::new(ctx, mode, bounds, iterations),
-            name,
-        }
-    }
-
-    /// The underlying single-precision iteration.
-    pub fn iteration(&self) -> &crate::mixed::MixedChebyshev {
-        &self.cheby
-    }
-
-    /// Enable or disable split-phase halo overlap (forwards to
-    /// [`crate::mixed::MixedChebyshev::set_overlap`]).
-    pub fn set_overlap(&mut self, on: bool) {
-        self.cheby.set_overlap(on);
-    }
-}
-
-impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for MixedChebyPrecond {
-    fn apply(&mut self, ctx: &RankCtx<T, D, C>, rhs: &mut Field<T>, out: &mut Field<T>) -> usize {
-        self.cheby.solve(ctx, rhs, out)
-    }
-
-    fn traits(&self) -> PrecTraits {
-        PrecTraits {
-            fixed: true,
-            comm_free: self.cheby.mode().comm_free(),
-            reduction_free: true,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
 /// Inner-Bi-CGSTAB preconditioner (`G(BiCGS)` globally, `BJ(BiCGS)` on the
 /// subdomain block). Inexact and iteration-varying — the *flexible*
 /// Bi-CGSTAB setting of Vogel / Chen et al.

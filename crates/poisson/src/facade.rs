@@ -1,7 +1,7 @@
 //! High-level per-rank solver facade.
 
 use accel::{Device, Scalar};
-use blockgrid::{BlockGrid, Decomp, Field};
+use blockgrid::{BcKind, BlockGrid, Decomp, Field};
 use comm::{Communicator, ReduceOp};
 use krylov::{
     bicgstab_solve, bicgstab_solve_batch, BatchWorkspace, CancelToken, RankCtx, Scope,
@@ -37,6 +37,17 @@ pub enum SetupError {
         /// Length actually provided on this rank.
         got: usize,
     },
+    /// An axis has fewer than 3 grid nodes: the mesh needs both
+    /// boundary nodes and at least one node between them.
+    TooFewNodes {
+        /// The offending axis.
+        axis: usize,
+        /// Nodes requested along it.
+        nodes: usize,
+    },
+    /// No face is Dirichlet: the pure-Neumann problem is singular (the
+    /// solution is defined only up to a constant).
+    PureNeumann,
 }
 
 impl std::fmt::Display for SetupError {
@@ -54,6 +65,14 @@ impl std::fmt::Display for SetupError {
             Self::RhsSizeMismatch { expected, got } => write!(
                 f,
                 "local RHS size mismatch (expected {expected} interior values, got {got})"
+            ),
+            Self::TooFewNodes { axis, nodes } => write!(
+                f,
+                "need at least 3 nodes per axis (axis {axis} has {nodes})"
+            ),
+            Self::PureNeumann => write!(
+                f,
+                "pure-Neumann problem is singular: at least one face must be Dirichlet"
             ),
         }
     }
@@ -124,6 +143,16 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
                 comm: comm.size(),
                 decomp: decomp.ranks(),
             });
+        }
+        // Problem data every rank shares: each rank refuses identically.
+        if let Some(axis) = (0..3).find(|&a| problem.nodes[a] < 3) {
+            return Err(SetupError::TooFewNodes {
+                axis,
+                nodes: problem.nodes[axis],
+            });
+        }
+        if !problem.bc.iter().flatten().any(|&b| b == BcKind::Dirichlet) {
+            return Err(SetupError::PureNeumann);
         }
         let grid = BlockGrid::new(problem.discretize(), decomp, comm.rank());
         let ctx: RankCtx<T, D, C> = RankCtx::new(dev, comm, grid);
@@ -629,6 +658,49 @@ mod tests {
         .map(|_| ())
         .expect_err("a zero RHS must be refused");
         assert_eq!(err, SetupError::ZeroRhs);
+    }
+
+    fn try_new_err(p: crate::problem::PoissonProblem) -> SetupError {
+        PoissonSolver::<f64, _, _>::try_new(
+            p,
+            Decomp::single(),
+            Serial::new(Recorder::disabled()),
+            SelfComm::default(),
+        )
+        .map(|_| ())
+        .expect_err("bad problem data must be refused")
+    }
+
+    #[test]
+    fn try_new_reports_too_few_nodes() {
+        let mut p = paper_problem(9);
+        p.nodes[2] = 2;
+        assert_eq!(
+            try_new_err(p),
+            SetupError::TooFewNodes { axis: 2, nodes: 2 }
+        );
+    }
+
+    #[test]
+    fn try_new_reports_pure_neumann() {
+        let mut p = paper_problem(9);
+        p.bc = [[blockgrid::BcKind::Neumann; 2]; 3];
+        assert_eq!(try_new_err(p), SetupError::PureNeumann);
+    }
+
+    #[test]
+    fn pure_neumann_is_refused_on_every_rank() {
+        // Shared problem data: both ranks return the same variant and
+        // neither is left blocked in a collective.
+        let decomp = Decomp::new([2, 1, 1]);
+        let errs = comm::run_ranks::<f64, _, _>(2, comm::ReduceOrder::RankOrder, move |comm| {
+            let mut p = paper_problem(9);
+            p.bc = [[blockgrid::BcKind::Neumann; 2]; 3];
+            PoissonSolver::<f64, _, _>::try_new(p, decomp, Serial::new(Recorder::disabled()), comm)
+                .map(|_| ())
+                .expect_err("pure Neumann must be refused")
+        });
+        assert_eq!(errs, vec![SetupError::PureNeumann; 2]);
     }
 
     #[test]

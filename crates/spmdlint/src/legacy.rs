@@ -44,9 +44,6 @@ pub const MUST_USE_TYPES: &[(&str, &str)] = &[
     // and the never-reduced tail scalars.
     ("crates/comm/src/types.rs", "ReduceManyRequest"),
     ("crates/blockgrid/src/halo.rs", "PendingExchange"),
-    // The f32 twin carries half-width wire words; dropping it loses the
-    // same in-flight messages.
-    ("crates/blockgrid/src/halo.rs", "PendingExchangeF32"),
     // Dropping a job handle silently discards the tenant's result.
     ("crates/serve/src/job.rs", "JobHandle"),
     // Dropping the fold handle abandons the slot partials of a fused
