@@ -159,8 +159,7 @@ pub trait Device: Clone + Send + Sync + 'static {
     /// different buffers). The kernel receives the `(j, k)` row of each
     /// buffer as an exclusive slice. This is the entry point for fused
     /// sweeps that update two fields in one pass (e.g. the fused
-    /// `KernelBiCGS56` residual+direction update) and for split stencil
-    /// sweeps that deposit per-row dot partials into a slot buffer.
+    /// `KernelBiCGS56` residual+direction update).
     ///
     /// One launch is recorded, with `map_a.elems()` elements — `info` for
     /// a fused kernel must therefore account for *all* traffic of the
@@ -176,25 +175,6 @@ pub trait Device: Clone + Send + Sync + 'static {
     ) -> [T; NR]
     where
         F: Fn(usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync;
-
-    /// Launch a two-map kernel with no reduction (element-wise update of
-    /// two buffers in one sweep).
-    fn launch_rows2<T: Scalar, F>(
-        &self,
-        info: KernelInfo,
-        map_a: RowMap,
-        out_a: &mut [T],
-        map_b: RowMap,
-        out_b: &mut [T],
-        f: F,
-    ) where
-        F: Fn(usize, usize, &mut [T], &mut [T]) + Sync,
-    {
-        let _: [T; 0] = self.launch_rows2_reduce(info, map_a, out_a, map_b, out_b, |j, k, a, b| {
-            f(j, k, a, b);
-            []
-        });
-    }
 
     /// Launch a pure reduction kernel over `ny * nz` rows (no output field).
     fn launch_reduce<T: Scalar, F, const NR: usize>(

@@ -348,13 +348,15 @@ fn ablation_reduce_overlap(c: &mut Criterion) {
     .expect("write BENCH_reduce_overlap.json");
 }
 
-/// The tentpole kernel-fusion ablation: record 8-rank Threads solves
-/// with the fused and unfused schedules, scale the per-rank streams to
-/// production-size local blocks, and replay both through the LUMI-G
-/// node model. Fusion cuts the hot path from 11 full-grid sweeps per
-/// iteration to 5 (264 B → 200 B of streaming traffic per element per
-/// iteration), so at memory-bandwidth-bound sizes the modeled
-/// per-iteration time must drop by at least the 1.25x bar.
+/// The kernel-fusion ablation: record 8-rank Threads solves with the
+/// fused production driver and the unfused reference schedule, both with
+/// blocking reductions (so the arms differ only in kernel grouping),
+/// scale the per-rank streams to production-size local blocks, and
+/// replay both through the LUMI-G node model. Fusion cuts the hot path
+/// from 11 full-grid sweeps per iteration to 5 (264 B → 200 B of
+/// streaming traffic per element per iteration), so at
+/// memory-bandwidth-bound sizes the modeled per-iteration time must drop
+/// by at least the 1.25x bar.
 fn ablation_fused_kernels(c: &mut Criterion) {
     use accel::Event;
     use perfmodel::{CostBreakdown, MachineModel};
@@ -365,7 +367,7 @@ fn ablation_fused_kernels(c: &mut Criterion) {
     const RECORDED_LOCAL: f64 = 16.0;
     const LOCALS: [usize; 4] = [64, 128, 256, 320];
 
-    let record = |fuse: bool| -> (usize, u64, Vec<Vec<Event>>) {
+    let record = |driver: bench::Driver| -> (usize, u64, Vec<Vec<Event>>) {
         let workers = std::thread::available_parallelism()
             .map_or(1, |p| p.get() / RANKS)
             .max(1);
@@ -375,7 +377,8 @@ fn ablation_fused_kernels(c: &mut Criterion) {
         cfg.device = format!("threads:{workers}");
         cfg.record_events = true;
         cfg.tol = 1e-8;
-        cfg.opts.fuse_kernels = fuse;
+        cfg.opts.overlap_reduce = false;
+        cfg.params_extra.driver = driver;
         let res = bench::run_once(&cfg);
         assert!(res.outcome.converged, "{:?}", res.outcome);
         (
@@ -385,8 +388,9 @@ fn ablation_fused_kernels(c: &mut Criterion) {
         )
     };
 
-    let (iters_unfused, msgs_unfused, unfused_streams) = record(false);
-    let (iters_fused, msgs_fused, fused_streams) = record(true);
+    let reference = bench::Driver::Reference { early_exit: false };
+    let (iters_unfused, msgs_unfused, unfused_streams) = record(reference);
+    let (iters_fused, msgs_fused, fused_streams) = record(bench::Driver::Production);
     assert_eq!(
         iters_unfused, iters_fused,
         "fusion must not change the iteration count"
@@ -420,22 +424,22 @@ fn ablation_fused_kernels(c: &mut Criterion) {
     // Sweep counts from dedicated fixed-cap serial runs (the difference
     // of two caps removes setup and drain), using the same counting
     // rule the bench library's regression test pins to 11 -> 5.
-    let sweeps = |fuse: bool| -> f64 {
+    let sweeps = |driver: bench::Driver| -> f64 {
         let run = |iters: usize| {
             let mut cfg = bench::RunConfig::small(SolverKind::BiCgs);
             cfg.nodes = 17;
             cfg.tol = 1e-300;
             cfg.max_iters = iters;
             cfg.record_events = true;
-            cfg.opts.fuse_kernels = fuse;
+            cfg.params_extra.driver = driver;
             bench::hot_sweep_elems(&bench::run_once(&cfg).events[0])
         };
         let (lo, interior) = run(3);
         let (hi, _) = run(6);
         (hi - lo) as f64 / (3 * interior) as f64
     };
-    let sweeps_unfused = sweeps(false);
-    let sweeps_fused = sweeps(true);
+    let sweeps_unfused = sweeps(reference);
+    let sweeps_fused = sweeps(bench::Driver::Production);
 
     #[derive(serde::Serialize)]
     struct Row {
@@ -879,7 +883,7 @@ fn ablation_mixed_precision(c: &mut Criterion) {
 
 /// Algorithm 1's mid-loop convergence check vs Algorithm 3 (the paper's
 /// implementation) — one extra reduction per iteration vs a potentially
-/// saved half-iteration.
+/// saved half-iteration — both on the unfused reference schedule.
 fn ablation_early_exit(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_early_exit");
     group.sample_size(10);
@@ -896,17 +900,13 @@ fn ablation_early_exit(c: &mut Criterion) {
                     Serial::new(Recorder::disabled()),
                     comm::SelfComm::default(),
                 );
-                let out = solver.solve(
-                    SolverKind::BiCgsGNoCommCi,
-                    &opts,
-                    &SolveParams {
-                        tol: 1e-10,
-                        max_iters: 20_000,
-                        record_history: false,
-                        early_exit_check: early,
-                        ..Default::default()
-                    },
-                );
+                let params = SolveParams {
+                    tol: 1e-10,
+                    max_iters: 20_000,
+                    record_history: false,
+                    ..Default::default()
+                };
+                let out = solver.solve_reference(SolverKind::BiCgsGNoCommCi, &opts, &params, early);
                 assert!(out.converged);
                 out.iterations
             });

@@ -119,16 +119,32 @@ pub struct RunConfig {
     pub order: ReduceOrder,
     /// Capture the per-rank event streams.
     pub record_events: bool,
-    /// Extra solver options (mid-loop exit, true-residual monitoring,
-    /// restart budget) threaded through to [`SolveParams`].
+    /// The Bi-CGSTAB loop to run and the extra solver options
+    /// (true-residual monitoring, restart budget) threaded through to
+    /// [`SolveParams`].
     pub params_extra: ParamsExtra,
+}
+
+/// Which Bi-CGSTAB loop [`run_once`] runs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Driver {
+    /// The production driver: fused kernels, the default schedule.
+    #[default]
+    Production,
+    /// The unfused, blocking reference schedule
+    /// ([`PoissonSolver::solve_reference`]), with Algorithm 1's mid-loop
+    /// convergence check when `early_exit`.
+    Reference {
+        /// Take Algorithm 1's mid-loop convergence check.
+        early_exit: bool,
+    },
 }
 
 /// The optional [`SolveParams`] features exposed on [`RunConfig`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ParamsExtra {
-    /// Algorithm 1's mid-loop convergence check.
-    pub early_exit_check: bool,
+    /// The Bi-CGSTAB loop to run.
+    pub driver: Driver,
     /// True-residual recomputation period (0 = off).
     pub true_residual_every: usize,
     /// Shadow-residual restart budget on breakdown.
@@ -205,16 +221,18 @@ pub fn run_once(cfg: &RunConfig) -> RunResult {
             tol: cfg2.tol,
             max_iters: cfg2.max_iters,
             record_history: true,
-            early_exit_check: cfg2.params_extra.early_exit_check,
             true_residual_every: cfg2.params_extra.true_residual_every,
             max_restarts: cfg2.params_extra.max_restarts,
-            overlap_halo: cfg2.opts.overlap_halo,
             overlap_reduce: cfg2.opts.overlap_reduce,
-            fuse_kernels: cfg2.opts.fuse_kernels,
             cancel: None,
         };
         let t0 = Instant::now();
-        let outcome = solver.solve(cfg2.kind, &cfg2.opts, &params);
+        let outcome = match cfg2.params_extra.driver {
+            Driver::Production => solver.solve(cfg2.kind, &cfg2.opts, &params),
+            Driver::Reference { early_exit } => {
+                solver.solve_reference(cfg2.kind, &cfg2.opts, &params, early_exit)
+            }
+        };
         let wall = t0.elapsed().as_secs_f64();
         let (l2, _linf) = solver.error_vs_exact();
         let stats = solver.ctx().comm.stats();
@@ -390,10 +408,8 @@ pub fn update_summary(section: &str, value: serde::Value) {
 
 /// Sum the elements streamed by the Bi-CGSTAB hot-path full-grid
 /// sweeps in an event stream: kernels outside `Preconditioner`
-/// stages, excluding the O(faces) boundary/halo-staging kernels and
-/// the O(ny·nz) slot folds. The split interior/shell pieces of one
-/// overlapped sweep sum to exactly one interior's worth of elements,
-/// so elements ÷ interior = full-grid sweep count. Reduction kernels
+/// stages, excluding the O(faces) boundary/halo-staging kernels, so
+/// elements ÷ interior = full-grid sweep count. Reduction kernels
 /// record their *row* count as `elems`, but each launch streams the
 /// whole grid once — so a dot launch counts as one interior.
 ///
@@ -418,10 +434,7 @@ pub fn hot_sweep_elems(events: &[Event]) -> (u64, u64) {
             Event::Kernel { name, elems, .. } if depth == 0 => {
                 if name.starts_with("KernelDot") {
                     total += interior;
-                } else if *name != "KernelNeumannBCs"
-                    && !name.starts_with("KernelFold")
-                    && !name.starts_with("KernelHalo")
-                {
+                } else if *name != "KernelNeumannBCs" && !name.starts_with("KernelHalo") {
                     total += elems;
                 }
             }
@@ -487,26 +500,26 @@ mod tests {
 
     #[test]
     fn fusion_cuts_sweeps_per_iteration_from_eleven_to_five() {
-        // The tentpole traffic claim, asserted on real event streams: the
-        // unfused overlapped schedule runs 11 full-grid sweeps per outer
-        // iteration, the fused one 5. Two solves at different iteration
-        // caps difference away setup and drain.
-        let sweeps = |fuse: bool| {
+        // The fusion traffic claim, asserted on real event streams: the
+        // unfused reference schedule runs 11 full-grid sweeps per outer
+        // iteration, the fused production driver 5. Two solves at
+        // different iteration caps difference away setup and drain.
+        let sweeps = |driver: Driver| {
             let run = |iters: usize| {
                 let mut cfg = RunConfig::small(SolverKind::BiCgs);
                 cfg.nodes = 17;
                 cfg.tol = 1e-300; // never reached: fixed iteration count
                 cfg.max_iters = iters;
                 cfg.record_events = true;
-                cfg.opts.fuse_kernels = fuse;
+                cfg.params_extra.driver = driver;
                 hot_sweep_elems(&run_once(&cfg).events[0])
             };
             let (lo, interior) = run(3);
             let (hi, _) = run(6);
             (hi - lo) as f64 / (3 * interior) as f64
         };
-        let unfused = sweeps(false);
-        let fused = sweeps(true);
+        let unfused = sweeps(Driver::Reference { early_exit: false });
+        let fused = sweeps(Driver::Production);
         assert!(
             unfused >= 10.0,
             "unfused schedule should sweep >=10x/iter, measured {unfused}"

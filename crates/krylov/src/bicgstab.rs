@@ -1,13 +1,13 @@
-//! Preconditioned Bi-CGSTAB exactly as implemented in the paper (Alg. 3).
+//! Preconditioned Bi-CGSTAB (Alg. 3) on one or many right-hand sides.
 //!
-//! One outer iteration is the device kernels, two preconditioner
-//! applications and two halo exchanges of Alg. 3, but both the reduction
-//! schedule and the kernel grouping are restructured. With
-//! [`SolveParams::overlap_reduce`] on (the default) each iteration ships
-//! exactly **two** batched reduction messages posted split-phase
-//! ([`Communicator::iall_reduce`]), and with
-//! [`SolveParams::fuse_kernels`] on (also the default) the memory-bound
-//! vector work collapses from eleven full-grid sweeps to **five**:
+//! One driver runs every solve: [`bicgstab_solve`] is the one-lane call of
+//! [`bicgstab_solve_batch`]. Each lane is its own Bi-CGSTAB instance; the
+//! lanes share each full-grid sweep (one kernel launch strides all live
+//! lanes), each halo exchange (one message per face) and each reduction
+//! (one message carries every lane's scalars). An iteration is five
+//! sweeps, two preconditioner applications, two halo exchanges and, with
+//! [`SolveParams::overlap_reduce`] on (the default), two reduction
+//! messages, the first posted split-phase:
 //!
 //! ```text
 //! Preconditioner  MPI1+BCs  KernelBiCGS1 (w = A p̂ ⊕ σ = r̃ᵀw)
@@ -18,53 +18,44 @@
 //! KernelBiCGS56 (r −= ωt ⊕ ‖r‖² ⊕ p ← r + β(p − ωw))
 //! ```
 //!
-//! Unfused (`fuse_kernels: false`) the schedule is the historical one —
-//! separate dot sweeps, the x-update split into its 4a/4b halves hidden
-//! under M2 and M1 respectively, and a separate KernelBiCGS5/6 pair.
-//! Fusion regroups *which loop* computes each value, never the order of
-//! the float operations inside a row or the reduction tree that merges
-//! row partials, so fused and unfused runs are bitwise-identical under a
-//! deterministic [`comm::ReduceOrder`]. Fused overlap defers the whole
-//! merged x-update into the next M1 window (there is no 4a half left to
-//! hide under M2, which therefore blocks) — the p̂ it needs survives the
-//! next preconditioner application in a ping-pong buffer
-//! (`Workspace::p_hat_prev`).
+//! * **ρ by recurrence.** `ρ_{i+1} = r̃ᵀs − ω r̃ᵀt` (`s = r − αw`): the
+//!   dots `σ₃ = r̃ᵀs`, `σ₄ = r̃ᵀt` ride in M2 *before* ω exists, which
+//!   removes a third reduction. `‖r‖²` stays a direct dot (its recurrence
+//!   cancels catastrophically near convergence).
+//! * **Lagged convergence check.** `‖r_i‖²` rides iteration `i+1`'s M1
+//!   and iteration `i`'s stopping decision is taken one iteration late, at
+//!   the cost of one speculative preconditioner application. The merged
+//!   x-update is deferred into the same window; its p̂ survives the next
+//!   preconditioner application in `Workspace::p_hat_prev`.
 //!
-//! Two tricks make ≤2 messages possible (both active in the synchronous
-//! path too, so the flag only changes message *grouping*, never values):
+//! Every fused sweep keeps the row fold order of the unfused kernels it
+//! replaces, so under a deterministic [`comm::ReduceOrder`] the iterates
+//! are bitwise those of the textbook schedule in
+//! [`bicgstab_reference`](crate::bicgstab_reference), the driver's oracle.
 //!
-//! * **ρ by recurrence.** `ρ_{i+1} = r̃ᵀr_{i+1} = r̃ᵀs − ω r̃ᵀt`
-//!   (`s = r − αw` is the half-updated residual). The two extra dots
-//!   `σ₃ = r̃ᵀs`, `σ₄ = r̃ᵀt` ride in M2 *before* ω exists, breaking the
-//!   serial ω → ρ dependency that forced a third reduction. The
-//!   convergence norm `‖r‖²` stays a *direct* dot (the analogous
-//!   recurrence cancels catastrophically near convergence).
-//! * **Lagged convergence check.** `‖r_i‖²` is reduced inside iteration
-//!   `i+1`'s M1 and iteration `i`'s stopping decision is taken one
-//!   iteration late — at the cost of one speculative preconditioner
-//!   application on the final iteration.
+//! Every lane carries the safety net: the drift guard
+//! ([`SolveParams::true_residual_every`]), breakdown restarts
+//! ([`SolveParams::max_restarts`]) and cancellation. A lane that
+//! converges, is cancelled or breaks down for good *freezes*: it drops out
+//! of kernels and halo payloads while its message slots carry zero, so the
+//! other lanes' bits are untouched. Every decision is taken on reduced
+//! values, so all ranks freeze, restart and sample the same lanes.
 //!
-//! The same routine serves as the *outer* solver and — in [`Scope::Local`]
-//! and [`Scope::Global`] flavours with an identity preconditioner — as the
-//! *inner* solver of the `G(BiCGS)` and `BJ(BiCGS)` preconditioners:
-//! local scope skips every exchange and reduction and restricts the
-//! operator to the subdomain block (Eq. 13).
+//! The same routine is the *inner* solver of the `G(BiCGS)` and
+//! `BJ(BiCGS)` preconditioners; [`Scope::Local`] skips every exchange and
+//! reduction and restricts the operator to the subdomain block (Eq. 13).
 
-use accel::Device;
-use accel::Scalar;
-use accel::REDUCE_OVERLAP_STAGE;
+use accel::{Device, Scalar, REDUCE_OVERLAP_STAGE};
 use blockgrid::Field;
 use comm::{Communicator, ReduceOp};
 use stencil::apply_physical_bcs;
 
 use crate::cancel::CancelToken;
-use crate::ctx::{BatchWorkspace, RankCtx, Workspace};
+use crate::ctx::{RankCtx, Workspace};
 use crate::kernels::{
-    axpy2_chained_batch, axpy2_chained_inplace, axpy3_inplace, axpy_dot, axpy_dot_batch,
-    axpy_inplace, diff_norm2, dot, dot2, norm2_axpy, norm2_axpy_batch, residual_p_update_fused,
-    residual_p_update_fused_batch, residual_update_fused, INFO_BICGS1, INFO_BICGS2, INFO_BICGS2F,
-    INFO_BICGS3, INFO_BICGS3F, INFO_BICGS4, INFO_BICGS4A, INFO_BICGS4B, INFO_BICGS5, INFO_BICGS56,
-    INFO_BICGS6, INFO_DOT, INFO_FOLD1, INFO_FOLD3, INFO_NORM2AXPY,
+    axpy2_chained_batch, axpy2_chained_inplace, axpy_dot_batch, diff_norm2, norm2_axpy_batch,
+    residual_p_update_fused_batch, residual_update_fused, INFO_BICGS1, INFO_BICGS2F, INFO_BICGS3F,
+    INFO_BICGS4, INFO_BICGS5, INFO_BICGS56, INFO_DOT, INFO_NORM2AXPY,
 };
 use crate::precond::Preconditioner;
 
@@ -88,11 +79,6 @@ pub struct SolveParams {
     pub max_iters: usize,
     /// Record the residual-norm history (Figs. 2–4).
     pub record_history: bool,
-    /// Check convergence mid-loop after the α update (Algorithm 1 lines
-    /// 9–11). The paper's implementation (Algorithm 3) omits this check,
-    /// saving one reduction per iteration at the cost of potentially one
-    /// superfluous half-iteration — this flag is the ablation switch.
-    pub early_exit_check: bool,
     /// Every `k` outer iterations recompute the *true* residual
     /// `‖b − A x‖` (one extra exchange + sweep + reduction) and use it
     /// for the convergence decision; `0` disables. Guards against the
@@ -103,42 +89,19 @@ pub struct SolveParams {
     /// (`r̃ = r`, recomputed true residual) up to this many times before
     /// reporting the breakdown.
     pub max_restarts: usize,
-    /// Overlap halo exchanges with the deep-interior stencil sweep
-    /// (split-phase `begin → apply_interior → finish → apply_shell`).
-    /// The iterate sequence is bitwise-identical either way (the split
-    /// sweep covers each cell once with the same arithmetic, and the
-    /// replacement reductions keep the fused kernels' fold order); the
-    /// flag exists as the ablation switch for the overlap cost model.
-    pub overlap_halo: bool,
-    /// Ship the per-iteration scalar reductions as two split-phase
-    /// batched messages with compute posted under each (see the module
-    /// docs), instead of blocking per stage. Under a deterministic
-    /// reduction order the reduced *values* — and hence the iterates,
-    /// residual history and stopping decisions — are bitwise-identical
-    /// either way: batching only regroups which scalars share a message,
-    /// and the element-wise rank-ordered fold is oblivious to grouping.
-    /// Effective only in [`Scope::Global`] on >1 rank (elsewhere
-    /// reductions are free and lagging would waste a preconditioner
-    /// application on the final iteration).
+    /// Ship the per-iteration reductions as two batched messages, the
+    /// first split-phase (see the module docs), instead of three blocking
+    /// ones. Under a deterministic reduction order the iterates, history
+    /// and stopping decisions are bitwise-identical either way: the
+    /// element-wise fold is oblivious to grouping. Effective only in
+    /// [`Scope::Global`] on >1 rank (elsewhere reductions are free and
+    /// lagging would waste a preconditioner application).
     pub overlap_reduce: bool,
     /// Cooperative cancellation flag, polled collectively once per outer
-    /// iteration (see [`CancelToken`]). `None` adds no messages and no
-    /// polling. With `overlap_reduce` active the poll adds no messages
-    /// either: the flag rides the M1 batch as one extra scalar rather
-    /// than a dedicated blocking reduction.
+    /// iteration (see [`CancelToken`]); in a batched solve it cancels
+    /// every lane. `None` adds no messages; with `overlap_reduce` active
+    /// neither does a token — its flag rides the M1 batch.
     pub cancel: Option<CancelToken>,
-    /// Run the hot loop on the fused kernel schedule: `KernelBiCGS2F`
-    /// (axpy + dot), `KernelBiCGS3F` (apply + three dots),
-    /// `KernelBiCGS56` (residual + p-update) and the merged deferred
-    /// x-update (`KernelBiCGS4`), cutting the full-grid sweeps per
-    /// iteration from 11 to 5 (264 → 200 B/elem of model traffic).
-    /// Under a deterministic reduction order the iterate sequence,
-    /// residual history and stopping decisions are bitwise identical to
-    /// the unfused schedule — every fused sweep keeps the grouping and
-    /// fold order of the kernels it replaces. With `early_exit_check`
-    /// the α-step falls back to the unfused sweeps (the mid-loop exit
-    /// must observe `‖r‖` before σ₃ is worth computing).
-    pub fuse_kernels: bool,
 }
 
 impl Default for SolveParams {
@@ -147,13 +110,10 @@ impl Default for SolveParams {
             tol: 1e-10,
             max_iters: 10_000,
             record_history: true,
-            early_exit_check: false,
             true_residual_every: 0,
             max_restarts: 0,
-            overlap_halo: true,
             overlap_reduce: true,
             cancel: None,
-            fuse_kernels: true,
         }
     }
 }
@@ -172,7 +132,7 @@ pub enum Breakdown {
 }
 
 /// Outcome of one solve; identical on every rank in [`Scope::Global`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SolveOutcome {
     /// `true` if the residual tolerance was met.
     pub converged: bool,
@@ -206,64 +166,41 @@ impl SolveOutcome {
             self.prec_iterations as f64 / self.iterations as f64
         }
     }
-}
 
-/// Refresh ghost layers for an operator application in `scope`.
-fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
-    ctx: &RankCtx<T, D, C>,
-    scope: Scope,
-    stage: &'static str,
-    f: &mut Field<T>,
-) {
-    match scope {
-        Scope::Global => {
-            ctx.recorder
-                .stage(stage, || ctx.halo.exchange(&ctx.dev, &ctx.comm, f));
-            apply_physical_bcs(&ctx.grid, f, &ctx.recorder, false);
-        }
-        Scope::Local => {
-            apply_physical_bcs(&ctx.grid, f, &ctx.recorder, true);
-        }
+    /// Clear for a new solve, keeping the vectors' capacity.
+    fn reset(&mut self) {
+        self.residual_history.clear();
+        self.true_residuals.clear();
+        *self = Self {
+            residual_history: std::mem::take(&mut self.residual_history),
+            true_residuals: std::mem::take(&mut self.true_residuals),
+            ..Self::default()
+        };
     }
 }
 
-/// `w = A u` with ghosts refreshed in `scope`.
-///
-/// When `overlap` is set (Global scope only) the halo exchange is
-/// split-phase and hidden behind the ghost-independent work:
-/// `begin → KernelNeumannBCs → apply_interior → finish → apply_shell`.
-/// The boundary-condition kernel and the deep-interior sweep touch no
-/// interface ghost, so they run while the messages are in flight; the
-/// shell sweep completes the cover afterwards. Each interior cell is
-/// written exactly once with the same arithmetic as the monolithic
-/// sweep, so `w` is bitwise-identical to the synchronous path.
-fn refresh_and_apply<T: Scalar, D: Device, C: Communicator<T>>(
+/// Refresh ghost layers of several lanes for an operator application in
+/// `scope`: one batched halo exchange carrying every lane's face planes
+/// per message, then the per-lane physical-BC kernels.
+pub(crate) fn refresh_ghosts_many<T: Scalar, D: Device, C: Communicator<T>>(
     ctx: &RankCtx<T, D, C>,
     scope: Scope,
     stage: &'static str,
-    overlap: bool,
-    info: accel::KernelInfo,
-    u: &mut Field<T>,
-    w: &mut Field<T>,
+    fields: &mut [&mut Field<T>],
 ) {
-    if overlap && scope == Scope::Global {
-        let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, u);
-        apply_physical_bcs(&ctx.grid, u, &ctx.recorder, false);
-        ctx.lap.apply_interior(&ctx.dev, info, u, w);
-        ctx.halo.finish(&ctx.dev, &ctx.comm, pending, u);
-        ctx.lap.apply_shell(&ctx.dev, info, u, w);
-    } else {
-        refresh_ghosts(ctx, scope, stage, u);
-        ctx.lap.apply(&ctx.dev, info, u, w);
+    if scope == Scope::Global {
+        ctx.recorder.stage(stage, || {
+            ctx.halo.exchange_batch(&ctx.dev, &ctx.comm, fields)
+        });
+    }
+    for f in fields.iter_mut() {
+        apply_physical_bcs(&ctx.grid, f, &ctx.recorder, scope == Scope::Local);
     }
 }
 
-/// Sum `vals` across ranks in [`Scope::Global`]; local identity otherwise.
-///
-/// Routed through [`Communicator::reduce_batch`] so the blocking call
-/// sites share the same pack/fold path as the split-phase batches of the
-/// reduction-overlap schedule.
-fn global_sum<T: Scalar, D: Device, C: Communicator<T>>(
+/// Sum `vals` across ranks in [`Scope::Global`] (one message); local
+/// identity otherwise.
+pub(crate) fn global_sum<T: Scalar, D: Device, C: Communicator<T>>(
     ctx: &RankCtx<T, D, C>,
     scope: Scope,
     stage: &'static str,
@@ -275,7 +212,8 @@ fn global_sum<T: Scalar, D: Device, C: Communicator<T>>(
     }
 }
 
-/// Solve `A x = b` with preconditioned Bi-CGSTAB (Alg. 3).
+/// Solve `A x = b` with preconditioned Bi-CGSTAB (Alg. 3): the one-lane
+/// call of [`bicgstab_solve_batch`].
 ///
 /// `x` holds the initial guess on entry and the solution on exit.
 /// In [`Scope::Global`] the outcome is identical on every rank (all
@@ -295,793 +233,39 @@ where
     C: Communicator<T>,
     P: Preconditioner<T, D, C> + ?Sized,
 {
-    // LINT: alloc-ok(per-solve convergence bookkeeping, grows amortised
-    // outside the audited steady-state window)
-    let mut history = Vec::new();
-    let mut prec_iterations = 0u64;
-
-    let overlap = params.overlap_halo && scope == Scope::Global;
-    let fuse = params.fuse_kernels;
-
-    // r_0 = b − A x_0, ρ_0 = r̃ᵀ r_0 = ‖r_0‖² (r̃ = r_0 elementwise, so
-    // the fused norm is the same sequence of products as the dot below)
-    refresh_and_apply(
+    let mut out = [SolveOutcome::default()];
+    let ws = std::slice::from_mut(ws);
+    bicgstab_solve_batch(
         ctx,
         scope,
-        "MPI0",
-        overlap,
-        stencil::INFO_APPLY,
-        x,
-        &mut ws.w,
+        &[b],
+        &mut [x],
+        &mut [prec],
+        ws,
+        params,
+        &[],
+        &mut out,
     );
-    let mut sums = if fuse {
-        // KernelNorm2Axpy: residual formation and its norm in one sweep
-        [norm2_axpy(
-            &ctx.dev,
-            INFO_NORM2AXPY,
-            &ctx.grid,
-            &mut ws.r,
-            b,
-            &ws.w,
-        )]
-    } else {
-        ws.r.copy_from(b);
-        axpy_inplace(&ctx.dev, INFO_BICGS2, &ctx.grid, &mut ws.r, &ws.w, -T::ONE);
-        [T::ZERO]
-    };
-    // r̃ = r_0, p_0 = r_0
-    ws.r0t.copy_from(&ws.r);
-    ws.p.copy_from(&ws.r);
-    if !fuse {
-        sums = [dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r0t, &ws.r)];
-    }
-    global_sum(ctx, scope, "MPI0", &mut sums);
-    let mut rho = sums[0];
-    let res0 = rho.to_f64().max(0.0).sqrt();
-    if params.record_history {
-        history.push(res0);
-    }
-    if res0 < params.tol {
-        return SolveOutcome {
-            converged: true,
-            iterations: 0,
-            prec_iterations: 0,
-            residual_history: history,
-            final_residual: res0,
-            breakdown: None,
-            restarts: 0,
-            // LINT: alloc-ok(empty vec for the zero-iteration early return)
-            true_residuals: Vec::new(),
-            cancelled: false,
-        };
-    }
-
-    let mut outcome_breakdown = None;
-    let mut converged = false;
-    let mut final_residual = res0;
-    let mut iterations = 0;
-    let mut restarts = 0usize;
-    // LINT: alloc-ok(per-solve diagnostic bookkeeping, off the iteration path)
-    let mut true_residuals: Vec<(usize, f64)> = Vec::new();
-    let mut cancelled = false;
-
-    // Reduction overlap only regroups which scalars share a message and
-    // when the stopping decision is *read* — never a reduced value or the
-    // arithmetic of an update — so it stays bitwise-transparent. Gated to
-    // real multi-rank worlds: on one rank reductions are free and the lag
-    // would only spend an extra preconditioner application per solve.
-    let overlap_reduce = params.overlap_reduce && scope == Scope::Global && ctx.comm.size() > 1;
-
-    // Lag state of the overlapped schedule: `(i, ‖r_i‖²_local, ω_i, α_i)`
-    // — iteration i's not-yet-reduced convergence norm and its deferred
-    // x-update, both completed under iteration i+1's M1 window. Unfused,
-    // only the ω half (`x += ω r̂`) is deferred (α landed under M2);
-    // fused, the whole update `x ← (x + α p̂) + ω r̂` is deferred as one
-    // merged KernelBiCGS4 sweep, which is why α rides along.
-    let mut lagged: Option<(usize, T, T, T)> = None;
-
-    /// Iteration `$j`'s epilogue once its global `‖r_j‖²` is in hand:
-    /// history/final-residual bookkeeping and the stopping ladder
-    /// (non-finite → converged → true-residual guard), in the exact
-    /// decision order of the synchronous schedule. `break`s out of the
-    /// enclosing loop on any stop, falls through otherwise.
-    macro_rules! finish_iteration {
-        ($j:expr, $rnorm2:expr) => {{
-            let j = $j;
-            let res = $rnorm2.to_f64().max(0.0).sqrt();
-            final_residual = res;
-            if params.record_history {
-                history.push(res);
-            }
-            if !res.is_finite() {
-                outcome_breakdown = Some(Breakdown::NonFinite);
-                iterations = j;
-                break;
-            }
-            if res < params.tol {
-                converged = true;
-                iterations = j;
-                break;
-            }
-            // Optional drift guard: recompute the true residual
-            // ‖b − A x‖ (the recursive residual can decouple from it in
-            // long stagnating solves) and let it decide convergence too.
-            if params.true_residual_every > 0 && j % params.true_residual_every == 0 {
-                refresh_and_apply(
-                    ctx,
-                    scope,
-                    "MPI6",
-                    overlap,
-                    stencil::INFO_APPLY,
-                    x,
-                    &mut ws.t,
-                );
-                let mut s = [diff_norm2(&ctx.dev, INFO_DOT, &ctx.grid, b, &ws.t)];
-                global_sum(ctx, scope, "MPI6", &mut s);
-                let tres = s[0].to_f64().max(0.0).sqrt();
-                true_residuals.push((j, tres));
-                if tres < params.tol {
-                    final_residual = tres;
-                    converged = true;
-                    iterations = j;
-                    break;
-                }
-            }
-        }};
-    }
-
-    for i in 1..=params.max_iters {
-        // Cooperative cancellation, decided collectively so every rank
-        // breaks on the same iteration: each rank reduces its local view
-        // of the flag and any rank's request stops them all. The poll
-        // (and its message) exists only when a token is installed — and
-        // in the overlapped schedule it costs no message at all: the
-        // flag rides the M1 batch as one extra scalar (see below)
-        // instead of this dedicated blocking reduction, which would
-        // reintroduce the per-iteration synchronous message the
-        // split-phase batching removed.
-        if !overlap_reduce {
-            if let Some(token) = &params.cancel {
-                let mut flag = [if token.is_cancelled() {
-                    T::ONE
-                } else {
-                    T::ZERO
-                }];
-                global_sum(ctx, scope, "MPIC", &mut flag);
-                if flag[0] != T::ZERO {
-                    cancelled = true;
-                    iterations = i - 1;
-                    break;
-                }
-            }
-        }
-        iterations = i;
-
-        /// On a curable breakdown: restart the Krylov process from the
-        /// current iterate with a fresh shadow residual (`r̃ = r`), or
-        /// give up when the restart budget is spent.
-        macro_rules! breakdown_or_restart {
-            ($kind:expr) => {{
-                let kind = $kind;
-                if restarts < params.max_restarts && kind != Breakdown::NonFinite {
-                    restarts += 1;
-                    refresh_and_apply(
-                        ctx,
-                        scope,
-                        "MPI0",
-                        overlap,
-                        stencil::INFO_APPLY,
-                        x,
-                        &mut ws.w,
-                    );
-                    let mut s = if fuse {
-                        [norm2_axpy(
-                            &ctx.dev,
-                            INFO_NORM2AXPY,
-                            &ctx.grid,
-                            &mut ws.r,
-                            b,
-                            &ws.w,
-                        )]
-                    } else {
-                        ws.r.copy_from(b);
-                        axpy_inplace(&ctx.dev, INFO_BICGS2, &ctx.grid, &mut ws.r, &ws.w, -T::ONE);
-                        [T::ZERO]
-                    };
-                    ws.r0t.copy_from(&ws.r);
-                    ws.p.copy_from(&ws.r);
-                    if !fuse {
-                        s = [dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r0t, &ws.r)];
-                    }
-                    global_sum(ctx, scope, "MPI0", &mut s);
-                    rho = s[0];
-                    let res = rho.to_f64().max(0.0).sqrt();
-                    final_residual = res;
-                    if res < params.tol {
-                        converged = true;
-                        break;
-                    }
-                    continue;
-                } else {
-                    outcome_breakdown = Some(kind);
-                    break;
-                }
-            }};
-        }
-
-        // Solve M p̂ = p
-        prec_iterations += ctx.recorder.stage("Preconditioner", || {
-            prec.apply(ctx, &mut ws.p, &mut ws.p_hat)
-        }) as u64;
-        // MPI1 + KernelNeumannBCs, then KernelBiCGS1: w = A p̂, p_sum = r̃ᵀ w.
-        // Overlapped unfused, the fused kernel splits into interior/shell
-        // sweeps plus a separate dot that keeps the fused fold order (same
-        // rows, same per-row accumulation, same partial merge → bitwise
-        // equal). Overlapped fused, the sweeps *keep* their dot: each
-        // piece deposits per-row partials into the slot buffer and a row
-        // fold completes the scalar — one full-grid sweep instead of two,
-        // still bitwise equal to the monolithic KernelBiCGS1.
-        let psum_local = if overlap {
-            if fuse {
-                let r0s = ws.r0t.as_slice();
-                let terms = |c: usize, v: T| [r0s[c] * v];
-                let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &ws.p_hat);
-                apply_physical_bcs(&ctx.grid, &mut ws.p_hat, &ctx.recorder, false);
-                ctx.lap.apply_interior_dot(
-                    &ctx.dev,
-                    INFO_BICGS1,
-                    &ws.p_hat,
-                    &mut ws.w,
-                    &mut ws.slots,
-                    &terms,
-                );
-                ctx.halo.finish(&ctx.dev, &ctx.comm, pending, &mut ws.p_hat);
-                let fold = ctx.lap.apply_shell_dot(
-                    &ctx.dev,
-                    INFO_BICGS1,
-                    &ws.p_hat,
-                    &mut ws.w,
-                    &mut ws.slots,
-                    &terms,
-                );
-                let [s] = fold.fold(&ctx.dev, INFO_FOLD1, &ws.slots);
-                s
-            } else {
-                refresh_and_apply(
-                    ctx,
-                    scope,
-                    "MPI1",
-                    true,
-                    stencil::INFO_APPLY,
-                    &mut ws.p_hat,
-                    &mut ws.w,
-                );
-                dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r0t, &ws.w)
-            }
-        } else {
-            refresh_ghosts(ctx, scope, "MPI1", &mut ws.p_hat);
-            ctx.lap
-                .apply_fused_dot(&ctx.dev, INFO_BICGS1, &ws.p_hat, &mut ws.w, &ws.r0t)
-        };
-        // M1: reduce σ = r̃ᵀw — batched with the previous iteration's
-        // lagged ‖r‖², and posted split-phase so the deferred ω half of
-        // the previous x-update computes while the message is in flight.
-        let psum = if overlap_reduce {
-            ctx.recorder.begin(REDUCE_OVERLAP_STAGE);
-            // The cancel poll piggybacks on M1 as one extra scalar, so
-            // an installed token adds no message: the flag is sampled
-            // here instead of at the loop top, and the decision lands
-            // after the deferred ω half below completes the previous
-            // iterate — the same iteration boundary the blocking poll
-            // stops at.
-            let cancel_local = params.cancel.as_ref().map(|token| {
-                [if token.is_cancelled() {
-                    T::ONE
-                } else {
-                    T::ZERO
-                }]
-            });
-            let rnorm2_prev = lagged.as_ref().map(|(_, r, _, _)| [*r]);
-            let psl = [psum_local];
-            // Fixed-capacity group list: the M1 batch is at most
-            // [σ, ‖r‖²_prev, cancel] and the hot loop must not allocate.
-            let mut groups: [&[T]; 3] = [&psl; 3];
-            let mut ng = 1;
-            if let Some(r) = &rnorm2_prev {
-                groups[ng] = r;
-                ng += 1;
-            }
-            if let Some(c) = &cancel_local {
-                groups[ng] = c;
-                ng += 1;
-            }
-            let req = ctx.comm.iall_reduce_batch(&groups[..ng], ReduceOp::Sum);
-            if let Some((_, _, omega_prev, alpha_prev)) = lagged {
-                if fuse {
-                    // Merged KernelBiCGS4 deferred from iteration i−1:
-                    // x ← (x + α p̂_prev) + ω r̂, chained exactly as the
-                    // split 4a/4b pair so the iterate matches bitwise.
-                    axpy2_chained_inplace(
-                        &ctx.dev,
-                        INFO_BICGS4,
-                        &ctx.grid,
-                        x,
-                        &ws.p_hat_prev,
-                        alpha_prev,
-                        &ws.r_hat,
-                        omega_prev,
-                    );
-                } else {
-                    // KernelBiCGS4b deferred from iteration i−1: x ← x + ω r̂
-                    axpy_inplace(&ctx.dev, INFO_BICGS4B, &ctx.grid, x, &ws.r_hat, omega_prev);
-                }
-            }
-            let mut red = [T::ZERO; 3];
-            ctx.comm.reduce_finish(req, &mut red[..ng]);
-            ctx.recorder.end(REDUCE_OVERLAP_STAGE);
-            let had_lag = lagged.is_some();
-            if let Some((prev, _, _, _)) = lagged.take() {
-                // iteration i−1's stopping decisions, one message late
-                finish_iteration!(prev, red[1]);
-            }
-            if cancel_local.is_some() && red[1 + usize::from(had_lag)] != T::ZERO {
-                // Every rank reads the same reduced sum, so all break
-                // together; x is complete through iteration i−1 (the
-                // deferred ω half just landed above).
-                cancelled = true;
-                iterations = i - 1;
-                break;
-            }
-            red[0]
-        } else {
-            let mut sums = [psum_local];
-            global_sum(ctx, scope, "MPI2", &mut sums);
-            sums[0]
-        };
-        if !psum.is_finite() {
-            outcome_breakdown = Some(Breakdown::NonFinite);
-            break;
-        }
-        if psum == T::ZERO {
-            breakdown_or_restart!(Breakdown::PSumZero);
-        }
-        let alpha = rho / psum;
-
-        // KernelBiCGS2: r ← r − α w, and σ₃ = r̃ᵀ s — the first half of
-        // the ρ recurrence ρ_{i+1} = r̃ᵀ r_{i+1} = r̃ᵀ s − ω r̃ᵀ t.
-        // Computing ρ this way frees it from its serial dependence on ω,
-        // letting it ride in M2 alongside the ω dots instead of forcing a
-        // third reduction. Fused, the axpy and σ₃ share one sweep
-        // (KernelBiCGS2F); with the mid-loop exit active σ₃ must wait for
-        // the exit decision, so the sweeps stay separate.
-        let c3_local = if fuse && !params.early_exit_check {
-            axpy_dot(
-                &ctx.dev,
-                INFO_BICGS2F,
-                &ctx.grid,
-                &mut ws.r,
-                &ws.w,
-                -alpha,
-                &ws.r0t,
-            )
-        } else {
-            axpy_inplace(&ctx.dev, INFO_BICGS2, &ctx.grid, &mut ws.r, &ws.w, -alpha);
-
-            // Optional mid-loop convergence check (Algorithm 1 lines
-            // 9–11). One extra reduction per iteration; Algorithm 3
-            // trades it away.
-            if params.early_exit_check {
-                let mut s = [dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r, &ws.r)];
-                global_sum(ctx, scope, "MPI2b", &mut s);
-                let res = s[0].to_f64().max(0.0).sqrt();
-                if res < params.tol {
-                    // x ← x + α p̂, then exit (Alg. 1 line 10)
-                    axpy_inplace(&ctx.dev, INFO_BICGS4A, &ctx.grid, x, &ws.p_hat, alpha);
-                    final_residual = res;
-                    if params.record_history {
-                        history.push(res);
-                    }
-                    converged = true;
-                    break;
-                }
-            }
-            dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r0t, &ws.r)
-        };
-
-        // Solve M r̂ = r
-        prec_iterations += ctx.recorder.stage("Preconditioner", || {
-            prec.apply(ctx, &mut ws.r, &mut ws.r_hat)
-        }) as u64;
-        // MPI3 + BCs, then KernelBiCGS3: t = A r̂, p1 = tᵀ r, p2 = tᵀ t,
-        // and σ₄ = r̃ᵀ t (second half of the ρ recurrence). Fused, all
-        // three dots ride in the stencil sweep (KernelBiCGS3F); unfused
-        // the ω dots share the sweep and σ₄ gets its own.
-        let (p1l, p2l, c4_local) = if overlap {
-            if fuse {
-                let rs = ws.r.as_slice();
-                let r0s = ws.r0t.as_slice();
-                let terms = |c: usize, v: T| [v * rs[c], v * v, r0s[c] * v];
-                let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &ws.r_hat);
-                apply_physical_bcs(&ctx.grid, &mut ws.r_hat, &ctx.recorder, false);
-                ctx.lap.apply_interior_dot(
-                    &ctx.dev,
-                    INFO_BICGS3F,
-                    &ws.r_hat,
-                    &mut ws.t,
-                    &mut ws.slots,
-                    &terms,
-                );
-                ctx.halo.finish(&ctx.dev, &ctx.comm, pending, &mut ws.r_hat);
-                let fold = ctx.lap.apply_shell_dot(
-                    &ctx.dev,
-                    INFO_BICGS3F,
-                    &ws.r_hat,
-                    &mut ws.t,
-                    &mut ws.slots,
-                    &terms,
-                );
-                let [a, b2, c] = fold.fold(&ctx.dev, INFO_FOLD3, &ws.slots);
-                (a, b2, c)
-            } else {
-                refresh_and_apply(
-                    ctx,
-                    scope,
-                    "MPI3",
-                    true,
-                    stencil::INFO_APPLY,
-                    &mut ws.r_hat,
-                    &mut ws.t,
-                );
-                let (a, b2) = dot2(&ctx.dev, INFO_DOT, &ctx.grid, &ws.t, &ws.r);
-                (a, b2, dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r0t, &ws.t))
-            }
-        } else if fuse {
-            refresh_ghosts(ctx, scope, "MPI3", &mut ws.r_hat);
-            ctx.lap
-                .apply_fused_dot3(&ctx.dev, INFO_BICGS3F, &ws.r_hat, &mut ws.t, &ws.r, &ws.r0t)
-        } else {
-            refresh_ghosts(ctx, scope, "MPI3", &mut ws.r_hat);
-            let (a, b2) =
-                ctx.lap
-                    .apply_fused_dot2(&ctx.dev, INFO_BICGS3, &ws.r_hat, &mut ws.t, &ws.r);
-            (a, b2, dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r0t, &ws.t))
-        };
-
-        // M2: all four scalars in one batch. Unfused, the α half of the
-        // x-update (KernelBiCGS4a) computes under the split-phase message.
-        // Fused, there is nothing left to hide here — both x-halves ride
-        // in next iteration's merged KernelBiCGS4 sweep — so M2 blocks.
-        let (p1, p2, c3, c4) = if overlap_reduce && !fuse {
-            ctx.recorder.begin(REDUCE_OVERLAP_STAGE);
-            let req = ctx
-                .comm
-                .iall_reduce(&[p1l, p2l, c3_local, c4_local], ReduceOp::Sum);
-            axpy_inplace(&ctx.dev, INFO_BICGS4A, &ctx.grid, x, &ws.p_hat, alpha);
-            let mut red = [T::ZERO; 4];
-            ctx.comm.reduce_finish(req, &mut red);
-            ctx.recorder.end(REDUCE_OVERLAP_STAGE);
-            (red[0], red[1], red[2], red[3])
-        } else {
-            let mut sums = [p1l, p2l, c3_local, c4_local];
-            global_sum(ctx, scope, "MPI4", &mut sums);
-            if !fuse {
-                axpy_inplace(&ctx.dev, INFO_BICGS4A, &ctx.grid, x, &ws.p_hat, alpha);
-            }
-            (sums[0], sums[1], sums[2], sums[3])
-        };
-        if !(p1.is_finite() && p2.is_finite()) {
-            outcome_breakdown = Some(Breakdown::NonFinite);
-            break;
-        }
-        // t = 0 can only happen when r is (numerically) zero; ω = 0 keeps
-        // the update well-defined and the convergence check decides.
-        let omega = if p2 == T::ZERO { T::ZERO } else { p1 / p2 };
-        let rho_new = c3 - omega * c4;
-
-        // Fused tail: β only exists when ρ and ω are both non-zero, so
-        // breakdown is decided *before* the residual/p sweep and the
-        // fused KernelBiCGS56 only runs on the healthy path.
-        let breakdown_now = rho_new == T::ZERO || omega == T::ZERO;
-        if fuse && !breakdown_now {
-            let beta = (rho_new / rho) * (alpha / omega);
-            rho = rho_new;
-            // KernelBiCGS56: r ← r − ω t, ‖r‖² and p ← r + β (p − ω w)
-            // in one sweep. The direct ‖r‖² is kept — ρ already came
-            // from the recurrence (the direct norm avoids the
-            // cancellation a norm recurrence suffers near convergence).
-            let rnorm2_local = residual_p_update_fused(
-                &ctx.dev,
-                INFO_BICGS56,
-                &ctx.grid,
-                &mut ws.r,
-                &mut ws.p,
-                &ws.t,
-                &ws.w,
-                omega,
-                beta,
-            );
-            if overlap_reduce {
-                // Both x-halves defer into next iteration's merged
-                // KernelBiCGS4 sweep; keep this p̂ alive across the swap.
-                lagged = Some((i, rnorm2_local, omega, alpha));
-                std::mem::swap(&mut ws.p_hat, &mut ws.p_hat_prev);
-            } else {
-                // KernelBiCGS4 merged: x ← (x + α p̂) + ω r̂
-                axpy2_chained_inplace(
-                    &ctx.dev,
-                    INFO_BICGS4,
-                    &ctx.grid,
-                    x,
-                    &ws.p_hat,
-                    alpha,
-                    &ws.r_hat,
-                    omega,
-                );
-                let mut s = [rnorm2_local];
-                global_sum(ctx, scope, "MPI5", &mut s);
-                finish_iteration!(i, s[0]);
-            }
-        } else if fuse {
-            // Breakdown pre-empts the fusion: β is undefined, so finish
-            // the iteration eagerly with the plain residual update and
-            // merged x sweep, then take the stopping ladder.
-            let (_, rnorm2_local) = residual_update_fused(
-                &ctx.dev,
-                INFO_BICGS5,
-                &ctx.grid,
-                &mut ws.r,
-                &ws.t,
-                omega,
-                &ws.r0t,
-            );
-            axpy2_chained_inplace(
-                &ctx.dev,
-                INFO_BICGS4,
-                &ctx.grid,
-                x,
-                &ws.p_hat,
-                alpha,
-                &ws.r_hat,
-                omega,
-            );
-            let mut s = [rnorm2_local];
-            global_sum(ctx, scope, "MPI5", &mut s);
-            finish_iteration!(i, s[0]);
-            if rho_new == T::ZERO {
-                breakdown_or_restart!(Breakdown::RhoZero);
-            } else {
-                // stagnated: ω = 0 with a non-converged residual
-                breakdown_or_restart!(Breakdown::OmegaZero);
-            }
-        } else {
-            // KernelBiCGS5: r ← r − ω t, fused dots (r̃·r, r·r). Only the
-            // direct ‖r‖² is kept — ρ already came from the recurrence
-            // (the direct norm avoids the cancellation a norm recurrence
-            // suffers near convergence, which is why it is not recurred
-            // as well).
-            let (_, rnorm2_local) = residual_update_fused(
-                &ctx.dev,
-                INFO_BICGS5,
-                &ctx.grid,
-                &mut ws.r,
-                &ws.t,
-                omega,
-                &ws.r0t,
-            );
-
-            if overlap_reduce {
-                if breakdown_now {
-                    // A breakdown trigger pre-empts the lag: complete the
-                    // iteration eagerly (deferred ω half, blocking norm
-                    // reduction, stopping ladder) so convergence keeps
-                    // its priority over the breakdown and a restart
-                    // resumes from the fully-updated iterate.
-                    axpy_inplace(&ctx.dev, INFO_BICGS4B, &ctx.grid, x, &ws.r_hat, omega);
-                    let mut s = [rnorm2_local];
-                    global_sum(ctx, scope, "MPI5", &mut s);
-                    finish_iteration!(i, s[0]);
-                    if rho_new == T::ZERO {
-                        breakdown_or_restart!(Breakdown::RhoZero);
-                    } else {
-                        // stagnated: ω = 0 with a non-converged residual
-                        breakdown_or_restart!(Breakdown::OmegaZero);
-                    }
-                }
-                lagged = Some((i, rnorm2_local, omega, alpha));
-            } else {
-                // KernelBiCGS4b: x ← x + ω r̂ (split exactly as the
-                // overlap schedule splits it, so the iterate sequence is
-                // shared)
-                axpy_inplace(&ctx.dev, INFO_BICGS4B, &ctx.grid, x, &ws.r_hat, omega);
-                let mut s = [rnorm2_local];
-                global_sum(ctx, scope, "MPI5", &mut s);
-                finish_iteration!(i, s[0]);
-                if rho_new == T::ZERO {
-                    breakdown_or_restart!(Breakdown::RhoZero);
-                }
-                if omega == T::ZERO {
-                    // stagnated: ω = 0 with a non-converged residual
-                    breakdown_or_restart!(Breakdown::OmegaZero);
-                }
-            }
-            let beta = (rho_new / rho) * (alpha / omega);
-            rho = rho_new;
-
-            // KernelBiCGS6: p ← r + β (p − ω w)
-            axpy3_inplace(
-                &ctx.dev,
-                INFO_BICGS6,
-                &ctx.grid,
-                &mut ws.p,
-                &ws.r,
-                &ws.w,
-                beta,
-                omega,
-            );
-        }
-    }
-
-    // Drain the lag when the iteration budget ran out with the last
-    // iteration's bookkeeping still in flight: apply the deferred ω half
-    // and take its stopping decisions (the one-shot loop hosts the
-    // macro's `break`s).
-    if let Some((j, rnorm2_local, omega_prev, alpha_prev)) = lagged.take() {
-        if fuse {
-            // Merged deferred update: x ← (x + α p̂) + ω r̂ for the last
-            // in-flight iteration (its p̂ lives in the swapped buffer).
-            axpy2_chained_inplace(
-                &ctx.dev,
-                INFO_BICGS4,
-                &ctx.grid,
-                x,
-                &ws.p_hat_prev,
-                alpha_prev,
-                &ws.r_hat,
-                omega_prev,
-            );
-        } else {
-            axpy_inplace(&ctx.dev, INFO_BICGS4B, &ctx.grid, x, &ws.r_hat, omega_prev);
-        }
-        let mut s = [rnorm2_local];
-        global_sum(ctx, scope, "MPI5", &mut s);
-        #[allow(clippy::never_loop)]
-        loop {
-            finish_iteration!(j, s[0]);
-            break;
-        }
-    }
-
-    SolveOutcome {
-        converged,
-        iterations,
-        prec_iterations,
-        residual_history: history,
-        final_residual,
-        breakdown: outcome_breakdown,
-        restarts,
-        true_residuals,
-        cancelled: cancelled && !converged,
-    }
+    let [out] = out;
+    out
 }
 
-/// Per-lane progress of a batched solve: the scalar recurrence state and
-/// the convergence bookkeeping a solo [`bicgstab_solve`] keeps in locals.
-struct Lane<T> {
-    rho: T,
-    alpha: T,
-    omega: T,
-    beta: T,
-    /// `(iteration, ‖r‖²_local, ω, α)` awaiting next M1 (lag schedule).
-    lag: Option<(usize, T, T, T)>,
-    history: Vec<f64>,
-    final_residual: f64,
-    iterations: usize,
-    prec_iterations: u64,
-    converged: bool,
-    breakdown: Option<Breakdown>,
-    cancelled: bool,
-    /// A frozen lane takes no further part in kernels, halo messages or
-    /// reduction *values* (its fixed message slots carry zero).
-    frozen: bool,
-}
-
-/// Iteration `j`'s epilogue for one lane of a batched solve, once its
-/// global `‖r_j‖²` is in hand — the batch counterpart of the solo
-/// `finish_iteration!` ladder (minus the true-residual guard, which the
-/// batch path does not support). Returns `true` when the lane stops.
-fn lane_finish<T: Scalar>(lane: &mut Lane<T>, params: &SolveParams, j: usize, rnorm2: T) -> bool {
-    let res = rnorm2.to_f64().max(0.0).sqrt();
-    lane.final_residual = res;
-    if params.record_history {
-        lane.history.push(res);
-    }
-    if !res.is_finite() {
-        lane.breakdown = Some(Breakdown::NonFinite);
-        lane.iterations = j;
-        return true;
-    }
-    if res < params.tol {
-        lane.converged = true;
-        lane.iterations = j;
-        return true;
-    }
-    false
-}
-
-/// Refresh ghost layers of several lanes for an operator application in
-/// `scope`: one batched halo exchange carrying every lane's face planes
-/// per message, then the per-lane physical-BC kernels.
-fn refresh_ghosts_many<T: Scalar, D: Device, C: Communicator<T>>(
-    ctx: &RankCtx<T, D, C>,
-    scope: Scope,
-    stage: &'static str,
-    fields: &mut [&mut Field<T>],
-) {
-    match scope {
-        Scope::Global => {
-            ctx.recorder.stage(stage, || {
-                ctx.halo.exchange_batch(&ctx.dev, &ctx.comm, fields)
-            });
-            for f in fields.iter_mut() {
-                apply_physical_bcs(&ctx.grid, f, &ctx.recorder, false);
-            }
-        }
-        Scope::Local => {
-            for f in fields.iter_mut() {
-                apply_physical_bcs(&ctx.grid, f, &ctx.recorder, true);
-            }
-        }
-    }
-}
-
-/// Sum each group of `groups` element-wise across ranks in
-/// [`Scope::Global`] (one message); local identity otherwise.
-fn global_sum_groups<T: Scalar, D: Device, C: Communicator<T>>(
-    ctx: &RankCtx<T, D, C>,
-    scope: Scope,
-    stage: &'static str,
-    groups: &mut [&mut [T]],
-) {
-    if scope == Scope::Global {
-        ctx.recorder
-            .stage(stage, || ctx.comm.reduce_batch(groups, ReduceOp::Sum));
-    }
-}
-
-/// Solve `A x_b = b_b` for a batch of right-hand sides with one
-/// Bi-CGSTAB instance per lane, amortising sweeps, halo messages and
-/// reductions across the batch (the multi-RHS tentpole):
+/// Solve `A x_b = b_b` for a batch of right-hand sides, one Bi-CGSTAB
+/// lane per right-hand side (see the module docs), writing lane `b`'s
+/// outcome to `outs[b]`.
 ///
-/// * every full-grid vector sweep strides all live lanes inside **one**
-///   kernel launch (`*_batch` kernels over the accel lane-launch API);
-/// * every halo exchange packs all live lanes' face planes into **one**
-///   message per face ([`blockgrid::HaloExchange::exchange_batch`]);
-/// * every reduction ships all lanes' scalars in the **same** messages —
-///   the per-iteration message count stays 2 (M1 split-phase, M2
-///   blocking) regardless of batch width, instead of `2 B`.
+/// Lane `b`'s iterates, residual history and stopping decisions are
+/// **bitwise identical** to `bicgstab_solve(ctx, scope, bs[b], xs[b],
+/// precs[b], …, params)` under a deterministic [`comm::ReduceOrder`]:
+/// batching only regroups which scalars share a message and which sweep
+/// covers a row. The reduction messages per iteration stay two
+/// (overlapped) or three (blocking) whatever the batch width.
 ///
-/// Lane `b` runs the exact fused solo schedule: its iterates, residual
-/// history and stopping decisions are **bitwise identical** to
-/// `bicgstab_solve(ctx, scope, bs[b], xs[b], precs[b], …, params)` under
-/// a deterministic [`comm::ReduceOrder`] — batching only regroups which
-/// scalars share a message and which sweep covers a row, never the
-/// arithmetic order inside a lane. Converged, cancelled or broken-down
-/// lanes *freeze*: they drop out of kernels and halo payloads while
-/// their fixed message slots carry zeros, so the remaining lanes'
-/// schedules (and bit patterns) are unaffected.
-///
-/// Restrictions relative to the solo path (asserted): fused kernels
-/// only, no mid-loop exit, no true-residual guard, and no breakdown
-/// restarts — a lane that breaks down freezes and reports its
-/// [`Breakdown`] instead of restarting. Cancellation is **per lane**
-/// via `cancels` (empty slice: none; otherwise one optional token per
-/// lane, present on every rank); [`SolveParams::cancel`] must be
-/// `None`. In the overlapped schedule the cancel flags ride the M1
-/// batch — `B` extra scalars, zero extra messages.
-///
-/// Every rank must pass the same batch width and freeze decisions are
-/// taken on allreduced values, so the live-lane set — and hence the
-/// kernel, halo and message schedule — stays identical on every rank.
+/// `ws` holds one workspace per lane (a wider cache is fine); the first
+/// keeps the batch's host-side state between solves, so a repeated solve
+/// allocates nothing. [`SolveParams::cancel`] cancels every lane; `cancels`
+/// is empty or one optional token per lane. Every rank must pass the same
+/// batch width.
 #[allow(clippy::too_many_arguments)]
 pub fn bicgstab_solve_batch<T, D, C, P>(
     ctx: &RankCtx<T, D, C>,
@@ -1089,598 +273,750 @@ pub fn bicgstab_solve_batch<T, D, C, P>(
     bs: &[&Field<T>],
     xs: &mut [&mut Field<T>],
     precs: &mut [&mut P],
-    bws: &mut BatchWorkspace<T>,
+    ws: &mut [Workspace<T>],
     params: &SolveParams,
     cancels: &[Option<CancelToken>],
-) -> Vec<SolveOutcome>
-where
+    outs: &mut [SolveOutcome],
+) where
     T: Scalar,
     D: Device,
     C: Communicator<T>,
     P: Preconditioner<T, D, C> + ?Sized,
 {
     let nb = bs.len();
-    assert_eq!(xs.len(), nb, "one iterate per right-hand side");
-    assert_eq!(precs.len(), nb, "one preconditioner per lane");
     assert!(
-        bws.lanes.len() >= nb,
-        "one workspace lane per right-hand side (a wider cache is fine; the first {nb} are used)"
+        xs.len() == nb && precs.len() == nb && outs.len() == nb && ws.len() >= nb,
+        "one iterate, preconditioner, outcome and workspace per right-hand side"
     );
     assert!(
         cancels.is_empty() || cancels.len() == nb,
         "cancels must be empty or carry one optional token per lane"
     );
-    assert!(
-        params.cancel.is_none(),
-        "batched solves take per-lane tokens via `cancels`, not SolveParams::cancel"
-    );
-    assert!(
-        params.fuse_kernels,
-        "the batched path implements the fused kernel schedule only"
-    );
-    assert!(
-        !params.early_exit_check && params.true_residual_every == 0 && params.max_restarts == 0,
-        "mid-loop exits, true-residual guards and restarts are unsupported in batched solves"
-    );
     if nb == 0 {
-        return Vec::new();
+        return;
+    }
+    outs.iter_mut().for_each(SolveOutcome::reset);
+    let mut scratch = std::mem::take(&mut ws[0].scratch);
+    scratch.lanes.clear();
+    scratch.lanes.resize(nb, Lane::default());
+    scratch.s.clear();
+    scratch.s.resize(SLOTS * nb, T::ZERO);
+    let LaneScratch { lanes, s, lists } = &mut scratch;
+    let ws = &mut ws[..nb];
+    // Reduction overlap is gated to real multi-rank worlds: on one rank
+    // reductions are free and the lag would only spend an extra
+    // preconditioner application per solve.
+    let lag = params.overlap_reduce && scope == Scope::Global && ctx.comm.size() > 1;
+    Run {
+        ctx,
+        scope,
+        params,
+        lag,
+        bs,
+        xs,
+        ws,
+        outs,
+        lanes,
+        s,
+        lists,
+    }
+    .drive(precs, cancels);
+    ws[0].scratch = scratch;
+}
+
+/// Scalars per lane in [`LaneScratch::s`], laid out by lane within each
+/// group: `[0, 4B)` message slots (M1 `[σ | ‖r‖²_prev | cancel]`, then M2
+/// `[σ₁ | σ₂ | σ₃ | σ₄]`), `[4B, 5B)` the norm slots (ρ₀, ‖r‖², the
+/// true residual or the cancel poll), `[5B, 8B)` per-launch accumulators
+/// and coefficients.
+const SLOTS: usize = 8;
+
+/// Host-side state of the lane driver. It lives in the first lane's
+/// [`Workspace`] between solves, so a repeated solve of the same width
+/// reuses every buffer.
+#[derive(Default)]
+pub(crate) struct LaneScratch<T> {
+    lanes: Vec<Lane<T>>,
+    s: Vec<T>,
+    lists: Lists,
+}
+
+/// The recurrence state of one lane.
+#[derive(Clone, Copy, Default)]
+struct Lane<T> {
+    rho: T,
+    alpha: T,
+    omega: T,
+    beta: T,
+    /// `(i, ‖r_i‖²_local, ω_i, α_i)`: iteration i's not-yet-reduced
+    /// norm and deferred merged x-update, completed under the next M1.
+    lag: Option<(usize, T, T, T)>,
+    /// Iteration whose stopping ladder is due; its global `‖r‖²` sits in
+    /// the lane's norm slot.
+    due: Option<usize>,
+    /// A breakdown this iteration: the lane sits out the rest of the
+    /// iteration, then restarts or stops.
+    broke: Option<Breakdown>,
+    /// Converged, cancelled or broken down for good.
+    frozen: bool,
+}
+
+impl<T: Copy> Lane<T> {
+    /// Takes part in the rest of the current iteration's kernels.
+    fn live(&self) -> bool {
+        !self.frozen && self.broke.is_none()
     }
 
-    let lag_mode = params.overlap_reduce && scope == Scope::Global && ctx.comm.size() > 1;
-    let has_tokens = cancels.iter().any(|c| c.is_some());
-    let cancel_flag = |b: usize, lanes: &[Lane<T>]| -> T {
-        let live = !lanes[b].frozen;
-        match cancels.get(b) {
-            Some(Some(tok)) if live && tok.is_cancelled() => T::ONE,
-            _ => T::ZERO,
-        }
-    };
+    /// `(α, ω)` of the lagged iteration's deferred merged x-update.
+    fn deferred(&self) -> Option<(T, T)> {
+        self.lag.map(|(_, _, omega, alpha)| (alpha, omega))
+    }
+}
 
-    // ---- Setup (MPI0): r_0 = b − A x_0, ρ_0 = ‖r_0‖² per lane, one
-    // batched exchange + one batched fused sweep + one batched reduce.
-    {
-        let mut fields: Vec<&mut Field<T>> = xs.iter_mut().map(|x| &mut **x).collect();
-        refresh_ghosts_many(ctx, scope, "MPI0", &mut fields);
-    }
-    for (x, ws) in xs.iter().zip(bws.lanes.iter_mut()) {
-        ctx.lap.apply(&ctx.dev, stencil::INFO_APPLY, x, &mut ws.w);
-    }
-    let mut rhos: Vec<T> = vec![T::ZERO; nb];
-    {
-        let mut accs = vec![[T::ZERO; 1]; nb];
-        let mut outs: Vec<&mut [T]> = Vec::with_capacity(nb);
-        let mut wsl: Vec<&[T]> = Vec::with_capacity(nb);
-        for ws in bws.lanes.iter_mut().take(nb) {
-            outs.push(ws.r.as_mut_slice());
-            wsl.push(ws.w.as_slice());
+/// `items` (one per lane) zipped with their lanes, keeping the lanes
+/// `pick` selects — the lane order every batched launch lists them in.
+fn picked<'l, I: Iterator, T: 'l>(
+    items: I,
+    lanes: &'l [Lane<T>],
+    pick: impl Fn(&Lane<T>) -> bool + 'l,
+) -> impl Iterator<Item = (I::Item, &'l Lane<T>)> {
+    items.zip(lanes).filter(move |(_, l)| pick(l))
+}
+
+/// Spread the accumulators of a launch over the lanes `pick` selected
+/// (one `[T; K]` per lane, in lane order): component `k` of lane `b`
+/// lands in `slots[groups[k] * B + b]`.
+fn scatter<T: Copy, const K: usize>(
+    lanes: &[Lane<T>],
+    pick: impl Fn(&Lane<T>) -> bool,
+    accs: &[[T; K]],
+    slots: &mut [T],
+    groups: [usize; K],
+) {
+    for ((b, _), a) in picked(0..lanes.len(), lanes, pick).zip(accs) {
+        for (g, v) in groups.iter().zip(a) {
+            slots[g * lanes.len() + b] = *v;
         }
-        let bsl: Vec<&[T]> = bs.iter().map(|b| b.as_slice()).collect();
+    }
+}
+
+/// The lane lists of one batched launch: up to two output and three
+/// input slices per lane.
+struct LaneLists<'l, T> {
+    out: Vec<&'l mut [T]>,
+    out2: Vec<&'l mut [T]>,
+    in0: Vec<&'l [T]>,
+    in1: Vec<&'l [T]>,
+    in2: Vec<&'l [T]>,
+}
+
+/// Buffers behind the lane lists handed to batched kernels and
+/// exchanges. A list borrows lane fields for one launch only; between
+/// launches its buffer is parked here with the borrows erased, so lists
+/// are rebuilt every launch without touching the heap.
+#[derive(Default)]
+struct Lists {
+    slices: [Vec<[usize; 2]>; 5],
+    fields: Vec<usize>,
+}
+
+/// Hand `v`'s buffer to a list of another element type with the same
+/// layout: collecting a `vec::IntoIter` reuses its allocation in place.
+fn recycle<A, B>(mut v: Vec<A>) -> Vec<B> {
+    v.clear();
+    // LINT: alloc-ok(in-place collect into the emptied buffer, no allocation)
+    v.into_iter().map(|_| unreachable!()).collect()
+}
+
+impl Lists {
+    fn lend<'l, T>(&mut self) -> LaneLists<'l, T> {
+        let [a, b, c, d, e] = std::mem::take(&mut self.slices);
+        let (out, out2) = (recycle(a), recycle(b));
+        let (in0, in1, in2) = (recycle(c), recycle(d), recycle(e));
+        LaneLists {
+            out,
+            out2,
+            in0,
+            in1,
+            in2,
+        }
+    }
+
+    fn park<T>(&mut self, l: LaneLists<'_, T>) {
+        let (a, b) = (recycle(l.out), recycle(l.out2));
+        self.slices = [a, b, recycle(l.in0), recycle(l.in1), recycle(l.in2)];
+    }
+}
+
+/// Selects one field of a lane's workspace.
+type FieldOf<T> = fn(&mut Workspace<T>) -> &mut Field<T>;
+/// Selects the right-hand side and result of a preconditioner application.
+type PrecFields<T> = fn(&mut Workspace<T>) -> (&mut Field<T>, &mut Field<T>);
+
+/// One lane-driver solve: the borrowed inputs and the lane state every
+/// step touches.
+struct Run<'a, 'x, T: Scalar, D: Device, C: Communicator<T>> {
+    ctx: &'a RankCtx<T, D, C>,
+    scope: Scope,
+    params: &'a SolveParams,
+    /// The overlapped (lagged) schedule is active.
+    lag: bool,
+    bs: &'a [&'a Field<T>],
+    xs: &'a mut [&'x mut Field<T>],
+    ws: &'a mut [Workspace<T>],
+    outs: &'a mut [SolveOutcome],
+    lanes: &'a mut [Lane<T>],
+    s: &'a mut [T],
+    lists: &'a mut Lists,
+}
+
+impl<T: Scalar, D: Device, C: Communicator<T>> Run<'_, '_, T, D, C> {
+    fn nb(&self) -> usize {
+        self.lanes.len()
+    }
+
+    fn norm(&mut self) -> &mut [T] {
+        let nb = self.nb();
+        &mut self.s[4 * nb..5 * nb]
+    }
+
+    fn any(&self, pick: impl Fn(&Lane<T>) -> bool) -> bool {
+        self.lanes.iter().any(pick)
+    }
+
+    fn stop(&mut self, b: usize, kind: Breakdown) {
+        self.outs[b].breakdown = Some(kind);
+        self.lanes[b].frozen = true;
+    }
+
+    fn cancel(&mut self, b: usize, iterations: usize) {
+        self.outs[b].cancelled = true;
+        self.outs[b].iterations = iterations;
+        self.lanes[b].frozen = true;
+    }
+
+    /// Take the stopping decision of lane `b` on residual norm `res`:
+    /// record it, then stop the lane at iteration `j` if it is non-finite
+    /// or below the tolerance. Returns whether the lane stopped.
+    fn settle(&mut self, b: usize, j: usize, res: f64, record: bool) -> bool {
+        let out = &mut self.outs[b];
+        out.final_residual = res;
+        if record && self.params.record_history {
+            out.residual_history.push(res);
+        }
+        if !res.is_finite() {
+            out.breakdown = Some(Breakdown::NonFinite);
+        } else if res < self.params.tol {
+            out.converged = true;
+        } else {
+            return false;
+        }
+        out.iterations = j;
+        self.lanes[b].frozen = true;
+        true
+    }
+
+    /// Solve `M out = rhs` per live lane (preconditioners are per-lane
+    /// state; the lane order is fixed, so collectives inside a
+    /// communicating preconditioner stay rank-uniform).
+    fn precondition<P>(&mut self, precs: &mut [&mut P], fields: PrecFields<T>)
+    where
+        P: Preconditioner<T, D, C> + ?Sized,
+    {
+        let ctx = self.ctx;
+        for (b, prec) in precs.iter_mut().enumerate() {
+            if self.lanes[b].live() {
+                let (rhs, out) = fields(&mut self.ws[b]);
+                let sweeps = ctx
+                    .recorder
+                    .stage("Preconditioner", || prec.apply(ctx, rhs, out));
+                self.outs[b].prec_iterations += sweeps as u64;
+            }
+        }
+    }
+
+    /// Refresh the ghosts of one field of every lane `pick` selects (one
+    /// batched message per face): `field` of its workspace, or its iterate.
+    fn exchange(
+        &mut self,
+        stage: &'static str,
+        pick: impl Fn(&Lane<T>) -> bool,
+        field: Option<FieldOf<T>>,
+    ) {
+        let mut fields: Vec<&mut Field<T>> = recycle(std::mem::take(&mut self.lists.fields));
+        for ((x, w), _) in picked(self.xs.iter_mut().zip(self.ws.iter_mut()), self.lanes, pick) {
+            fields.push(field.map_or(&mut **x, |field| field(w)));
+        }
+        refresh_ghosts_many(self.ctx, self.scope, stage, &mut fields);
+        self.lists.fields = recycle(fields);
+    }
+
+    /// `r = b − A x`, `r̃ = p = r` and `ρ = ‖r‖²` for the lanes `pick`
+    /// selects (setup and restarts): one batched exchange, one batched
+    /// KernelNorm2Axpy sweep and one reduction (`r̃ = r` elementwise, so
+    /// the fused norm is the same sequence of products as `r̃ᵀr`).
+    fn residuals(&mut self, pick: impl Fn(&Lane<T>) -> bool + Copy) {
+        let (ctx, nb) = (self.ctx, self.nb());
+        self.exchange("MPI0", pick, None);
+        let mut l = self.lists.lend();
+        let lanes = self.xs.iter().zip(self.ws.iter_mut()).zip(self.bs);
+        for (((x, w), b), _) in picked(lanes, self.lanes, pick) {
+            ctx.lap.apply(&ctx.dev, stencil::INFO_APPLY, x, &mut w.w);
+            l.out.push(w.r.as_mut_slice());
+            l.in0.push(b.as_slice());
+            l.in1.push(w.w.as_slice());
+        }
+        let (norm, accs) = self.s[4 * nb..].split_at_mut(nb);
+        let accs = accs[..l.out.len()].as_chunks_mut::<1>().0;
         norm2_axpy_batch(
             &ctx.dev,
             INFO_NORM2AXPY,
             &ctx.grid,
-            &mut outs,
-            &bsl,
-            &wsl,
-            &mut accs,
+            &mut l.out,
+            &l.in0,
+            &l.in1,
+            accs,
         );
-        for (rho, a) in rhos.iter_mut().zip(&accs) {
-            *rho = a[0];
+        self.lists.park(l);
+        norm.fill(T::ZERO);
+        scatter(self.lanes, pick, accs, norm, [0]);
+        for (w, _) in picked(self.ws.iter_mut(), self.lanes, pick) {
+            w.r0t.copy_from(&w.r);
+            w.p.copy_from(&w.r);
         }
-    }
-    for ws in bws.lanes.iter_mut().take(nb) {
-        ws.r0t.copy_from(&ws.r);
-        ws.p.copy_from(&ws.r);
-    }
-    global_sum(ctx, scope, "MPI0", &mut rhos);
-
-    let mut lanes: Vec<Lane<T>> = rhos
-        .iter()
-        .map(|&rho| Lane {
-            rho,
-            alpha: T::ZERO,
-            omega: T::ZERO,
-            beta: T::ZERO,
-            lag: None,
-            history: Vec::new(),
-            final_residual: 0.0,
-            iterations: 0,
-            prec_iterations: 0,
-            converged: false,
-            breakdown: None,
-            cancelled: false,
-            frozen: false,
-        })
-        .collect();
-    for lane in lanes.iter_mut() {
-        let res0 = lane.rho.to_f64().max(0.0).sqrt();
-        lane.final_residual = res0;
-        if params.record_history {
-            lane.history.push(res0);
-        }
-        if res0 < params.tol {
-            lane.converged = true;
-            lane.frozen = true;
+        global_sum(ctx, self.scope, "MPI0", norm);
+        for (l, &rho) in self.lanes.iter_mut().zip(norm.iter()) {
+            if pick(l) {
+                l.rho = rho;
+            }
         }
     }
 
-    for i in 1..=params.max_iters {
-        let mut active: Vec<usize> = (0..nb).filter(|&b| !lanes[b].frozen).collect();
-        if active.is_empty() {
-            break;
-        }
-
-        // Blocking cancel poll of the synchronous schedule (one B-wide
-        // group, mirroring the solo MPIC reduction). Overlapped, the
-        // flags ride M1 below instead — zero extra messages.
-        if !lag_mode && has_tokens {
-            let mut flags: Vec<T> = (0..nb).map(|b| cancel_flag(b, &lanes)).collect();
-            global_sum(ctx, scope, "MPIC", &mut flags);
-            for &b in &active {
-                if flags[b] != T::ZERO {
-                    lanes[b].cancelled = true;
-                    lanes[b].iterations = i - 1;
-                    lanes[b].frozen = true;
-                }
-            }
-            active.retain(|&b| !lanes[b].frozen);
-            if active.is_empty() {
-                break;
+    /// Take the stopping ladder of every lane whose iteration `j` is due,
+    /// its global `‖r_j‖²` in the lane's norm slot: non-finite → converged
+    /// → drift guard. Every `true_residual_every` iterations the guard
+    /// forms the true residual `‖b − A x‖` — for all sampled lanes with
+    /// one batched exchange and one reduction — and lets it decide
+    /// convergence too (the recursive residual can decouple from it in
+    /// long stagnating solves).
+    fn finish_due(&mut self) {
+        let (ctx, nb, every) = (self.ctx, self.nb(), self.params.true_residual_every);
+        for b in 0..nb {
+            let Some(j) = self.lanes[b].due else { continue };
+            let res = self.s[4 * nb + b].to_f64().max(0.0).sqrt();
+            if self.settle(b, j, res, true) || every == 0 || j % every != 0 {
+                self.lanes[b].due = None;
             }
         }
-        for &b in &active {
-            lanes[b].iterations = i;
+        if !self.any(|l| l.due.is_some()) {
+            return;
         }
-
-        // Solve M p̂ = p per lane (preconditioners are per-lane state; the
-        // lane order is fixed, so any collectives inside a communicating
-        // preconditioner stay rank-uniform).
-        for &b in &active {
-            let ws = &mut bws.lanes[b];
-            lanes[b].prec_iterations += ctx.recorder.stage("Preconditioner", || {
-                precs[b].apply(ctx, &mut ws.p, &mut ws.p_hat)
-            }) as u64;
-        }
-
-        // MPI1 (one batched exchange) + BCs, then batched KernelBiCGS1:
-        // w = A p̂, σ = r̃ᵀ w per lane in a single sweep.
-        {
-            let mut fields: Vec<&mut Field<T>> = bws
-                .lanes
-                .iter_mut()
-                .enumerate()
-                .filter(|(b, _)| active.contains(b))
-                .map(|(_, ws)| &mut ws.p_hat)
-                .collect();
-            refresh_ghosts_many(ctx, scope, "MPI1", &mut fields);
-        }
-        let mut psum_slots: Vec<T> = vec![T::ZERO; nb];
-        {
-            let mut accs = vec![[T::ZERO; 1]; active.len()];
-            let mut wm: Vec<&mut [T]> = Vec::with_capacity(active.len());
-            let mut us: Vec<&[T]> = Vec::with_capacity(active.len());
-            let mut gs: Vec<&[T]> = Vec::with_capacity(active.len());
-            for (b, ws) in bws.lanes.iter_mut().enumerate() {
-                if !active.contains(&b) {
-                    continue;
-                }
-                wm.push(ws.w.as_mut_slice());
-                us.push(ws.p_hat.as_slice());
-                gs.push(ws.r0t.as_slice());
-            }
-            ctx.lap
-                .apply_fused_dot_batch(&ctx.dev, INFO_BICGS1, &us, &mut wm, &gs, &mut accs);
-            for (slot, &b) in active.iter().enumerate() {
-                psum_slots[b] = accs[slot][0];
+        self.exchange("MPI6", |l| l.due.is_some(), None);
+        for (b, slot) in self.s[4 * nb..5 * nb].iter_mut().enumerate() {
+            *slot = T::ZERO;
+            if self.lanes[b].due.is_some() {
+                let (x, w) = (&*self.xs[b], &mut self.ws[b]);
+                ctx.lap.apply(&ctx.dev, stencil::INFO_APPLY, x, &mut w.t);
+                *slot = diff_norm2(&ctx.dev, INFO_DOT, &ctx.grid, self.bs[b], &w.t);
             }
         }
-
-        // M1: one chunked split-phase message carrying every lane's σ,
-        // the previous iteration's lagged ‖r‖² per lane, and (token
-        // installed) the per-lane cancel flags — fixed B-wide slot
-        // groups, frozen slots zero. The deferred merged x-updates of
-        // all lagged lanes compute under the message in one batched
-        // KernelBiCGS4 sweep, exactly as solo defers its single update.
-        let any_lag = lanes.iter().any(|l| l.lag.is_some());
-        if lag_mode {
-            let mut payload: Vec<T> = Vec::with_capacity(3 * nb);
-            payload.extend_from_slice(&psum_slots);
-            if any_lag {
-                payload.extend((0..nb).map(|b| match lanes[b].lag {
-                    Some((_, rn, _, _)) => rn,
-                    None => T::ZERO,
-                }));
-            }
-            if has_tokens {
-                payload.extend((0..nb).map(|b| cancel_flag(b, &lanes)));
-            }
-            ctx.recorder.begin(REDUCE_OVERLAP_STAGE);
-            let req = ctx.comm.iall_reduce_many(&payload, ReduceOp::Sum);
-            if any_lag {
-                let mut ys: Vec<&mut [T]> = Vec::with_capacity(nb);
-                let mut x1s: Vec<&[T]> = Vec::with_capacity(nb);
-                let mut x2s: Vec<&[T]> = Vec::with_capacity(nb);
-                let mut a1s: Vec<T> = Vec::with_capacity(nb);
-                let mut a2s: Vec<T> = Vec::with_capacity(nb);
-                for (b, (x, ws)) in xs.iter_mut().zip(bws.lanes.iter()).enumerate() {
-                    if let Some((_, _, omega_prev, alpha_prev)) = lanes[b].lag {
-                        ys.push(x.as_mut_slice());
-                        x1s.push(ws.p_hat_prev.as_slice());
-                        x2s.push(ws.r_hat.as_slice());
-                        a1s.push(alpha_prev);
-                        a2s.push(omega_prev);
-                    }
-                }
-                axpy2_chained_batch(
-                    &ctx.dev,
-                    INFO_BICGS4,
-                    &ctx.grid,
-                    &mut ys,
-                    &x1s,
-                    &a1s,
-                    &x2s,
-                    &a2s,
-                );
-            }
-            let mut red = vec![T::ZERO; payload.len()];
-            ctx.comm.reduce_finish_many(req, &mut red);
-            ctx.recorder.end(REDUCE_OVERLAP_STAGE);
-            psum_slots.copy_from_slice(&red[..nb]);
-            // Iteration i−1's stopping decisions per lagged lane, one
-            // message late (the solo lag ladder, lane-wise).
-            if any_lag {
-                for b in 0..nb {
-                    if let Some((prev, _, _, _)) = lanes[b].lag.take() {
-                        if lane_finish(&mut lanes[b], params, prev, red[nb + b]) {
-                            lanes[b].frozen = true;
-                        }
-                    }
-                }
-            }
-            if has_tokens {
-                let off = if any_lag { 2 * nb } else { nb };
-                for &b in &active {
-                    if !lanes[b].frozen && red[off + b] != T::ZERO {
-                        lanes[b].cancelled = true;
-                        lanes[b].iterations = i - 1;
-                        lanes[b].frozen = true;
-                    }
-                }
-            }
-        } else {
-            global_sum(ctx, scope, "MPI2", &mut psum_slots);
-        }
-        for &b in &active {
-            if lanes[b].frozen {
+        global_sum(ctx, self.scope, "MPI6", self.norm());
+        for b in 0..nb {
+            let Some(j) = self.lanes[b].due.take() else {
                 continue;
+            };
+            let tres = self.s[4 * nb + b].to_f64().max(0.0).sqrt();
+            self.outs[b].true_residuals.push((j, tres));
+            if tres < self.params.tol {
+                self.settle(b, j, tres, false);
             }
-            let psum = psum_slots[b];
-            if !psum.is_finite() {
-                lanes[b].breakdown = Some(Breakdown::NonFinite);
-                lanes[b].frozen = true;
+        }
+    }
+
+    /// Merged KernelBiCGS4, `x ← (x + α p̂) + ω r̂`, in one batched sweep
+    /// for every lane `coef` gives `(α, ω)`; `p_hat` picks the lane's p̂
+    /// (`p_hat_prev` for an update deferred past the next preconditioner
+    /// application).
+    fn update_iterates(
+        &mut self,
+        coef: impl Fn(&Lane<T>) -> Option<(T, T)>,
+        p_hat: fn(&Workspace<T>) -> &Field<T>,
+    ) {
+        let (ctx, nb) = (self.ctx, self.nb());
+        let (alphas, omegas) = self.s[5 * nb..7 * nb].split_at_mut(nb);
+        let mut l = self.lists.lend();
+        let lanes = self.lanes.iter();
+        for ((x, w), lane) in self.xs.iter_mut().zip(self.ws.iter()).zip(lanes) {
+            let Some((alpha, omega)) = coef(lane) else {
                 continue;
-            }
-            if psum == T::ZERO {
-                lanes[b].breakdown = Some(Breakdown::PSumZero);
-                lanes[b].frozen = true;
-                continue;
-            }
-            lanes[b].alpha = lanes[b].rho / psum;
+            };
+            (alphas[l.out.len()], omegas[l.out.len()]) = (alpha, omega);
+            l.out.push(x.as_mut_slice());
+            l.in0.push(p_hat(w).as_slice());
+            l.in1.push(w.r_hat.as_slice());
         }
-        active.retain(|&b| !lanes[b].frozen);
-        if active.is_empty() {
-            continue;
-        }
-
-        // Batched KernelBiCGS2F: r ← r − α w with σ₃ = r̃ᵀ s per lane.
-        let mut c3_slots: Vec<T> = vec![T::ZERO; nb];
-        {
-            let mut accs = vec![[T::ZERO; 1]; active.len()];
-            let mut ys: Vec<&mut [T]> = Vec::with_capacity(active.len());
-            let mut xsl: Vec<&[T]> = Vec::with_capacity(active.len());
-            let mut gs: Vec<&[T]> = Vec::with_capacity(active.len());
-            let mut coefs: Vec<T> = Vec::with_capacity(active.len());
-            for (b, ws) in bws.lanes.iter_mut().enumerate() {
-                if !active.contains(&b) {
-                    continue;
-                }
-                ys.push(ws.r.as_mut_slice());
-                xsl.push(ws.w.as_slice());
-                gs.push(ws.r0t.as_slice());
-                coefs.push(-lanes[b].alpha);
-            }
-            axpy_dot_batch(
-                &ctx.dev,
-                INFO_BICGS2F,
-                &ctx.grid,
-                &mut ys,
-                &xsl,
-                &coefs,
-                &gs,
-                &mut accs,
-            );
-            for (slot, &b) in active.iter().enumerate() {
-                c3_slots[b] = accs[slot][0];
-            }
-        }
-
-        // Solve M r̂ = r per lane.
-        for &b in &active {
-            let ws = &mut bws.lanes[b];
-            lanes[b].prec_iterations += ctx.recorder.stage("Preconditioner", || {
-                precs[b].apply(ctx, &mut ws.r, &mut ws.r_hat)
-            }) as u64;
-        }
-
-        // MPI3 (one batched exchange) + BCs, then batched KernelBiCGS3F:
-        // t = A r̂ with (p1, p2, σ₄) per lane in a single sweep.
-        {
-            let mut fields: Vec<&mut Field<T>> = bws
-                .lanes
-                .iter_mut()
-                .enumerate()
-                .filter(|(b, _)| active.contains(b))
-                .map(|(_, ws)| &mut ws.r_hat)
-                .collect();
-            refresh_ghosts_many(ctx, scope, "MPI3", &mut fields);
-        }
-        let mut p1_slots: Vec<T> = vec![T::ZERO; nb];
-        let mut p2_slots: Vec<T> = vec![T::ZERO; nb];
-        let mut c4_slots: Vec<T> = vec![T::ZERO; nb];
-        {
-            let mut accs = vec![[T::ZERO; 3]; active.len()];
-            let mut tm: Vec<&mut [T]> = Vec::with_capacity(active.len());
-            let mut us: Vec<&[T]> = Vec::with_capacity(active.len());
-            let mut rsl: Vec<&[T]> = Vec::with_capacity(active.len());
-            let mut gs: Vec<&[T]> = Vec::with_capacity(active.len());
-            for (b, ws) in bws.lanes.iter_mut().enumerate() {
-                if !active.contains(&b) {
-                    continue;
-                }
-                tm.push(ws.t.as_mut_slice());
-                us.push(ws.r_hat.as_slice());
-                rsl.push(ws.r.as_slice());
-                gs.push(ws.r0t.as_slice());
-            }
-            ctx.lap.apply_fused_dot3_batch(
-                &ctx.dev,
-                INFO_BICGS3F,
-                &us,
-                &mut tm,
-                &rsl,
-                &gs,
-                &mut accs,
-            );
-            for (slot, &b) in active.iter().enumerate() {
-                p1_slots[b] = accs[slot][0];
-                p2_slots[b] = accs[slot][1];
-                c4_slots[b] = accs[slot][2];
-            }
-        }
-
-        // M2: all four scalar groups of every lane in one blocking
-        // message (the solo fused M2 blocks too — nothing is left to
-        // hide under it). Fixed B-wide groups, frozen slots zero.
-        global_sum_groups(
-            ctx,
-            scope,
-            "MPI4",
-            &mut [&mut p1_slots, &mut p2_slots, &mut c3_slots, &mut c4_slots],
+        let (n, grid) = (l.out.len(), &ctx.grid);
+        let (alphas, omegas) = (&alphas[..n], &omegas[..n]);
+        axpy2_chained_batch(
+            &ctx.dev,
+            INFO_BICGS4,
+            grid,
+            &mut l.out,
+            &l.in0,
+            alphas,
+            &l.in1,
+            omegas,
         );
+        self.lists.park(l);
+    }
 
-        // Per-lane ω / ρ-recurrence / β, and the breakdown partition.
-        let mut healthy: Vec<usize> = Vec::with_capacity(active.len());
-        let mut broken: Vec<(usize, T, T)> = Vec::new();
-        for &b in &active {
-            let (p1, p2, c3, c4) = (p1_slots[b], p2_slots[b], c3_slots[b], c4_slots[b]);
+    /// MPI1 + BCs, then KernelBiCGS1: `w = A p̂ ⊕ σ = r̃ᵀw` per live lane,
+    /// σ landing in the first message group.
+    fn sigma(&mut self) {
+        let (ctx, nb) = (self.ctx, self.nb());
+        self.exchange("MPI1", Lane::live, Some(|w| &mut w.p_hat));
+        let mut l = self.lists.lend();
+        for (w, _) in picked(self.ws.iter_mut(), self.lanes, Lane::live) {
+            l.in0.push(w.p_hat.as_slice());
+            l.out.push(w.w.as_mut_slice());
+            l.in1.push(w.r0t.as_slice());
+        }
+        let (msg, rest) = self.s.split_at_mut(4 * nb);
+        let accs = rest[nb..nb + l.out.len()].as_chunks_mut::<1>().0;
+        ctx.lap
+            .apply_fused_dot_batch(&ctx.dev, INFO_BICGS1, &l.in0, &mut l.out, &l.in1, accs);
+        self.lists.park(l);
+        msg[..nb].fill(T::ZERO);
+        scatter(self.lanes, Lane::live, accs, msg, [0]);
+    }
+
+    /// M1 of the overlapped schedule: σ per lane, batched with the lagged
+    /// `‖r‖²` of the previous iteration and the cancel flags (when a token
+    /// is installed), posted split-phase so the deferred merged x-updates
+    /// compute while the message is in flight. Then the lagged lanes take
+    /// iteration i−1's stopping decisions, one message late, and flagged
+    /// lanes cancel at the iteration boundary the x-update just completed.
+    fn m1(&mut self, i: usize, flags: Option<&dyn Fn(usize) -> bool>) {
+        let (ctx, nb) = (self.ctx, self.nb());
+        let any_lag = self.any(|l| l.lag.is_some());
+        let mut len = nb;
+        if any_lag {
+            for (slot, l) in self.s[len..len + nb].iter_mut().zip(self.lanes.iter()) {
+                *slot = l.lag.map_or(T::ZERO, |lag| lag.1);
+            }
+            len += nb;
+        }
+        if let Some(fired) = flags {
+            for b in 0..nb {
+                let on = self.lanes[b].live() && fired(b);
+                self.s[len + b] = if on { T::ONE } else { T::ZERO };
+            }
+            len += nb;
+        }
+        ctx.recorder.begin(REDUCE_OVERLAP_STAGE);
+        let req = ctx.comm.iall_reduce_many(&self.s[..len], ReduceOp::Sum);
+        if any_lag {
+            self.update_iterates(Lane::deferred, |w| &w.p_hat_prev);
+        }
+        ctx.comm.reduce_finish_many(req, &mut self.s[..len]);
+        ctx.recorder.end(REDUCE_OVERLAP_STAGE);
+        if any_lag {
+            for b in 0..nb {
+                if let Some((j, ..)) = self.lanes[b].lag.take() {
+                    self.s[4 * nb + b] = self.s[nb + b];
+                    self.lanes[b].due = Some(j);
+                }
+            }
+            self.finish_due();
+        }
+        if flags.is_some() {
+            for b in 0..nb {
+                if self.lanes[b].live() && self.s[len - nb + b] != T::ZERO {
+                    self.cancel(b, i - 1);
+                }
+            }
+        }
+    }
+
+    /// The rest of iteration `i` after α: KernelBiCGS2F, `M r̂ = r`,
+    /// MPI3 + KernelBiCGS3F, M2, then ω, ρ by recurrence and β per lane,
+    /// and KernelBiCGS56 for the healthy lanes. A lane whose ρ or ω
+    /// vanished has no β: it finishes the iteration eagerly with the plain
+    /// residual update and the merged x sweep, then takes its ladder.
+    fn omega_step<P>(&mut self, i: usize, precs: &mut [&mut P])
+    where
+        P: Preconditioner<T, D, C> + ?Sized,
+    {
+        let (ctx, nb) = (self.ctx, self.nb());
+        let (dev, grid) = (&ctx.dev, &ctx.grid);
+        self.s[..5 * nb].fill(T::ZERO);
+        // KernelBiCGS2F: r ← r − α w ⊕ σ₃ = r̃ᵀs (first half of the ρ
+        // recurrence).
+        let mut l = self.lists.lend();
+        let (msg, rest) = self.s.split_at_mut(4 * nb);
+        let (coefs, accs) = rest[nb..].split_at_mut(nb);
+        for (w, lane) in picked(self.ws.iter_mut(), self.lanes, Lane::live) {
+            coefs[l.out.len()] = -lane.alpha;
+            l.out.push(w.r.as_mut_slice());
+            l.in0.push(w.w.as_slice());
+            l.in1.push(w.r0t.as_slice());
+        }
+        let n = l.out.len();
+        let (coefs, accs) = (&coefs[..n], accs[..n].as_chunks_mut::<1>().0);
+        axpy_dot_batch(
+            dev,
+            INFO_BICGS2F,
+            grid,
+            &mut l.out,
+            &l.in0,
+            coefs,
+            &l.in1,
+            accs,
+        );
+        self.lists.park(l);
+        scatter(self.lanes, Lane::live, accs, msg, [2]);
+
+        // M r̂ = r, MPI3 + BCs, then KernelBiCGS3F: t = A r̂ ⊕ σ₁ = tᵀr,
+        // σ₂ = tᵀt, σ₄ = r̃ᵀt.
+        self.precondition(precs, |w| (&mut w.r, &mut w.r_hat));
+        self.exchange("MPI3", Lane::live, Some(|w| &mut w.r_hat));
+        let mut l = self.lists.lend();
+        for (w, _) in picked(self.ws.iter_mut(), self.lanes, Lane::live) {
+            l.in0.push(w.r_hat.as_slice());
+            l.out.push(w.t.as_mut_slice());
+            l.in1.push(w.r.as_slice());
+            l.in2.push(w.r0t.as_slice());
+        }
+        let (msg, rest) = self.s.split_at_mut(4 * nb);
+        let accs = rest[nb..nb + 3 * l.out.len()].as_chunks_mut::<3>().0;
+        ctx.lap
+            .apply_fused_dot3_batch(dev, INFO_BICGS3F, &l.in0, &mut l.out, &l.in1, &l.in2, accs);
+        self.lists.park(l);
+        scatter(self.lanes, Lane::live, accs, msg, [0, 1, 3]);
+
+        // M2: the four scalar groups of every lane in one blocking message
+        // (nothing is left to hide under it).
+        global_sum(ctx, self.scope, "MPI4", &mut self.s[..4 * nb]);
+        for b in 0..nb {
+            if !self.lanes[b].live() {
+                continue;
+            }
+            let [p1, p2, c3, c4] = [0, 1, 2, 3].map(|g| self.s[g * nb + b]);
             if !(p1.is_finite() && p2.is_finite()) {
-                lanes[b].breakdown = Some(Breakdown::NonFinite);
-                lanes[b].frozen = true;
+                self.stop(b, Breakdown::NonFinite);
                 continue;
             }
+            // t = 0 only when r is (numerically) zero; ω = 0 keeps the
+            // update well-defined and the convergence check decides.
             let omega = if p2 == T::ZERO { T::ZERO } else { p1 / p2 };
             let rho_new = c3 - omega * c4;
-            if rho_new == T::ZERO || omega == T::ZERO {
-                broken.push((b, omega, rho_new));
+            let lane = &mut self.lanes[b];
+            lane.omega = omega;
+            if rho_new != T::ZERO && omega != T::ZERO {
+                lane.beta = (rho_new / lane.rho) * (lane.alpha / omega);
+                lane.rho = rho_new;
+                continue;
+            }
+            let kind = if rho_new == T::ZERO {
+                Breakdown::RhoZero
             } else {
-                lanes[b].beta = (rho_new / lanes[b].rho) * (lanes[b].alpha / omega);
-                lanes[b].omega = omega;
-                lanes[b].rho = rho_new;
-                healthy.push(b);
-            }
-        }
-
-        // Breakdown lanes finish eagerly with the solo kernels (constant
-        // work — each lane breaks at most once per solve) and share one
-        // extra blocking norm reduction; the broken set derives from
-        // reduced values, so every rank takes this branch together.
-        if !broken.is_empty() {
-            let mut rn: Vec<T> = vec![T::ZERO; nb];
-            for &(b, omega, _) in &broken {
-                let ws = &mut bws.lanes[b];
-                let (_, rl) = residual_update_fused(
-                    &ctx.dev,
-                    INFO_BICGS5,
-                    &ctx.grid,
-                    &mut ws.r,
-                    &ws.t,
-                    omega,
-                    &ws.r0t,
-                );
-                axpy2_chained_inplace(
-                    &ctx.dev,
-                    INFO_BICGS4,
-                    &ctx.grid,
-                    &mut *xs[b],
-                    &ws.p_hat,
-                    lanes[b].alpha,
-                    &ws.r_hat,
-                    omega,
-                );
-                rn[b] = rl;
-            }
-            global_sum(ctx, scope, "MPI5", &mut rn);
-            for &(b, omega, rho_new) in &broken {
-                if !lane_finish(&mut lanes[b], params, i, rn[b]) {
-                    lanes[b].breakdown = Some(if rho_new == T::ZERO {
-                        Breakdown::RhoZero
-                    } else {
-                        debug_assert_eq!(omega, T::ZERO);
-                        Breakdown::OmegaZero
-                    });
-                }
-                lanes[b].frozen = true;
-            }
-        }
-        if healthy.is_empty() {
-            continue;
-        }
-
-        // Batched KernelBiCGS56: r ← r − ω t with ‖r‖² and
-        // p ← r + β (p − ω w), every healthy lane in one sweep.
-        let mut rn_slots: Vec<T> = vec![T::ZERO; nb];
-        {
-            let mut accs = vec![[T::ZERO; 1]; healthy.len()];
-            let mut rm: Vec<&mut [T]> = Vec::with_capacity(healthy.len());
-            let mut pm: Vec<&mut [T]> = Vec::with_capacity(healthy.len());
-            let mut tsl: Vec<&[T]> = Vec::with_capacity(healthy.len());
-            let mut wsl: Vec<&[T]> = Vec::with_capacity(healthy.len());
-            let mut omegas: Vec<T> = Vec::with_capacity(healthy.len());
-            let mut betas: Vec<T> = Vec::with_capacity(healthy.len());
-            for (b, ws) in bws.lanes.iter_mut().enumerate() {
-                if !healthy.contains(&b) {
-                    continue;
-                }
-                rm.push(ws.r.as_mut_slice());
-                pm.push(ws.p.as_mut_slice());
-                tsl.push(ws.t.as_slice());
-                wsl.push(ws.w.as_slice());
-                omegas.push(lanes[b].omega);
-                betas.push(lanes[b].beta);
-            }
-            residual_p_update_fused_batch(
-                &ctx.dev,
-                INFO_BICGS56,
-                &ctx.grid,
-                &mut rm,
-                &mut pm,
-                &tsl,
-                &wsl,
-                &omegas,
-                &betas,
-                &mut accs,
-            );
-            for (slot, &b) in healthy.iter().enumerate() {
-                rn_slots[b] = accs[slot][0];
-            }
-        }
-        if lag_mode {
-            // Defer every healthy lane's merged x-update and stopping
-            // decision into next iteration's M1 window; keep each lane's
-            // p̂ alive across the swap (the solo ping-pong, lane-wise).
-            for &b in &healthy {
-                lanes[b].lag = Some((i, rn_slots[b], lanes[b].omega, lanes[b].alpha));
-                let ws = &mut bws.lanes[b];
-                std::mem::swap(&mut ws.p_hat, &mut ws.p_hat_prev);
-            }
-        } else {
-            // Synchronous tail: merged x-updates now (one batched
-            // sweep), then one blocking B-wide norm reduction and the
-            // stopping ladder per lane.
-            {
-                let mut ys: Vec<&mut [T]> = Vec::with_capacity(healthy.len());
-                let mut x1s: Vec<&[T]> = Vec::with_capacity(healthy.len());
-                let mut x2s: Vec<&[T]> = Vec::with_capacity(healthy.len());
-                let mut a1s: Vec<T> = Vec::with_capacity(healthy.len());
-                let mut a2s: Vec<T> = Vec::with_capacity(healthy.len());
-                for (b, (x, ws)) in xs.iter_mut().zip(bws.lanes.iter()).enumerate() {
-                    if !healthy.contains(&b) {
-                        continue;
-                    }
-                    ys.push(x.as_mut_slice());
-                    x1s.push(ws.p_hat.as_slice());
-                    x2s.push(ws.r_hat.as_slice());
-                    a1s.push(lanes[b].alpha);
-                    a2s.push(lanes[b].omega);
-                }
-                axpy2_chained_batch(
-                    &ctx.dev,
-                    INFO_BICGS4,
-                    &ctx.grid,
-                    &mut ys,
-                    &x1s,
-                    &a1s,
-                    &x2s,
-                    &a2s,
-                );
-            }
-            global_sum(ctx, scope, "MPI5", &mut rn_slots);
-            for &b in &healthy {
-                if lane_finish(&mut lanes[b], params, i, rn_slots[b]) {
-                    lanes[b].frozen = true;
-                }
-            }
-        }
-    }
-
-    // Drain the lags when the iteration budget ran out with the last
-    // iterations' bookkeeping still in flight: one batched deferred
-    // x-update sweep, one blocking norm reduction, per-lane ladder.
-    let drain: Vec<usize> = (0..nb).filter(|&b| lanes[b].lag.is_some()).collect();
-    if !drain.is_empty() {
-        {
-            let mut ys: Vec<&mut [T]> = Vec::with_capacity(drain.len());
-            let mut x1s: Vec<&[T]> = Vec::with_capacity(drain.len());
-            let mut x2s: Vec<&[T]> = Vec::with_capacity(drain.len());
-            let mut a1s: Vec<T> = Vec::with_capacity(drain.len());
-            let mut a2s: Vec<T> = Vec::with_capacity(drain.len());
-            for (b, (x, ws)) in xs.iter_mut().zip(bws.lanes.iter()).enumerate() {
-                if let Some((_, _, omega_prev, alpha_prev)) = lanes[b].lag {
-                    ys.push(x.as_mut_slice());
-                    x1s.push(ws.p_hat_prev.as_slice());
-                    x2s.push(ws.r_hat.as_slice());
-                    a1s.push(alpha_prev);
-                    a2s.push(omega_prev);
-                }
-            }
-            axpy2_chained_batch(
-                &ctx.dev,
+                Breakdown::OmegaZero
+            };
+            (lane.broke, lane.due) = (Some(kind), Some(i));
+            let (alpha, w) = (lane.alpha, &mut self.ws[b]);
+            let (_, rn) =
+                residual_update_fused(dev, INFO_BICGS5, grid, &mut w.r, &w.t, omega, &w.r0t);
+            axpy2_chained_inplace(
+                dev,
                 INFO_BICGS4,
-                &ctx.grid,
-                &mut ys,
-                &x1s,
-                &a1s,
-                &x2s,
-                &a2s,
+                grid,
+                self.xs[b],
+                &w.p_hat,
+                alpha,
+                &w.r_hat,
+                omega,
             );
+            self.s[4 * nb + b] = rn;
         }
-        let mut rn: Vec<T> = vec![T::ZERO; nb];
-        for &b in &drain {
-            rn[b] = lanes[b].lag.map(|(_, r, _, _)| r).unwrap_or(T::ZERO);
+
+        // KernelBiCGS56: r ← r − ω t ⊕ ‖r‖² ⊕ p ← r + β (p − ω w). The
+        // direct ‖r‖² is kept — ρ already came from the recurrence.
+        if self.any(Lane::live) {
+            let mut l = self.lists.lend();
+            let (norm, rest) = self.s[4 * nb..].split_at_mut(nb);
+            let (omegas, rest) = rest.split_at_mut(nb);
+            let (betas, accs) = rest.split_at_mut(nb);
+            for (w, lane) in picked(self.ws.iter_mut(), self.lanes, Lane::live) {
+                (omegas[l.out.len()], betas[l.out.len()]) = (lane.omega, lane.beta);
+                l.out.push(w.r.as_mut_slice());
+                l.out2.push(w.p.as_mut_slice());
+                l.in0.push(w.t.as_slice());
+                l.in1.push(w.w.as_slice());
+            }
+            let n = l.out.len();
+            let (omegas, betas, accs) =
+                (&omegas[..n], &betas[..n], accs[..n].as_chunks_mut::<1>().0);
+            let (r, p) = (&mut l.out, &mut l.out2);
+            residual_p_update_fused_batch(
+                dev,
+                INFO_BICGS56,
+                grid,
+                r,
+                p,
+                &l.in0,
+                &l.in1,
+                omegas,
+                betas,
+                accs,
+            );
+            self.lists.park(l);
+            let live = self
+                .lanes
+                .iter_mut()
+                .zip(self.ws.iter_mut())
+                .zip(norm.iter_mut());
+            for (((lane, w), slot), a) in live.filter(|((l, _), _)| l.live()).zip(accs.iter()) {
+                if self.lag {
+                    // Defer the merged x-update and the stopping decision
+                    // into the next M1 window; keep this p̂ alive across
+                    // the next preconditioner application.
+                    lane.lag = Some((i, a[0], lane.omega, lane.alpha));
+                    std::mem::swap(&mut w.p_hat, &mut w.p_hat_prev);
+                } else {
+                    (*slot, lane.due) = (a[0], Some(i));
+                }
+            }
+            if !self.lag {
+                self.update_iterates(|l| l.live().then_some((l.alpha, l.omega)), |w| &w.p_hat);
+            }
         }
-        global_sum(ctx, scope, "MPI5", &mut rn);
-        for &b in &drain {
-            let (j, _, _, _) = lanes[b].lag.take().expect("drain lane has a pending lag");
-            lane_finish(&mut lanes[b], params, j, rn[b]);
-            lanes[b].frozen = true;
+        if self.any(|l| l.due.is_some()) {
+            global_sum(ctx, self.scope, "MPI5", self.norm());
+            self.finish_due();
         }
     }
 
-    lanes
-        .into_iter()
-        .map(|l| SolveOutcome {
-            converged: l.converged,
-            iterations: l.iterations,
-            prec_iterations: l.prec_iterations,
-            residual_history: l.history,
-            final_residual: l.final_residual,
-            breakdown: l.breakdown,
-            restarts: 0,
-            // LINT: alloc-ok(empty vec; the batch path has no true-residual guard)
-            true_residuals: Vec::new(),
-            cancelled: l.cancelled && !l.converged,
-        })
-        .collect()
+    /// Restart every lane that broke down this iteration from its
+    /// current iterate with a fresh shadow residual (`r̃ = r`), or stop it
+    /// once its restart budget is spent.
+    fn restart(&mut self) {
+        for b in 0..self.nb() {
+            let Some(kind) = self.lanes[b].broke else {
+                continue;
+            };
+            if self.lanes[b].frozen || self.outs[b].restarts == self.params.max_restarts {
+                self.lanes[b].broke = None;
+                if !self.lanes[b].frozen {
+                    self.stop(b, kind);
+                }
+            } else {
+                self.outs[b].restarts += 1;
+            }
+        }
+        if self.any(|l| l.broke.is_some()) {
+            self.residuals(|l| l.broke.is_some());
+            for b in 0..self.nb() {
+                if self.lanes[b].broke.take().is_some() {
+                    let res = self.lanes[b].rho.to_f64().max(0.0).sqrt();
+                    self.outs[b].final_residual = res;
+                    if res < self.params.tol {
+                        self.outs[b].converged = true;
+                        self.lanes[b].frozen = true;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The whole solve: setup, outer iterations, lag drain.
+    fn drive<P>(&mut self, precs: &mut [&mut P], cancels: &[Option<CancelToken>])
+    where
+        P: Preconditioner<T, D, C> + ?Sized,
+    {
+        let (ctx, scope, params, nb) = (self.ctx, self.scope, self.params, self.nb());
+        let fired = |b: usize| {
+            let lane = cancels.get(b).and_then(Option::as_ref);
+            let fired = |t: Option<&CancelToken>| t.is_some_and(CancelToken::is_cancelled);
+            fired(params.cancel.as_ref()) || fired(lane)
+        };
+        let tokens = params.cancel.is_some() || cancels.iter().any(Option::is_some);
+        let flags: Option<&dyn Fn(usize) -> bool> = tokens.then_some(&fired);
+
+        // Setup (MPI0): r_0 = b − A x_0, r̃ = p_0 = r_0, ρ_0 = ‖r_0‖².
+        self.residuals(|_| true);
+        for b in 0..nb {
+            let res0 = self.lanes[b].rho.to_f64().max(0.0).sqrt();
+            let out = &mut self.outs[b];
+            out.final_residual = res0;
+            if params.record_history {
+                out.residual_history.push(res0);
+            }
+            out.converged = res0 < params.tol;
+            self.lanes[b].frozen = out.converged;
+        }
+
+        for i in 1..=params.max_iters {
+            // Cooperative cancellation, decided collectively so every rank
+            // freezes the same lanes. The blocking poll exists only with a
+            // token installed; the overlapped schedule samples the flags
+            // into M1 instead.
+            if !self.lag && tokens && self.any(|l| !l.frozen) {
+                for b in 0..nb {
+                    let on = !self.lanes[b].frozen && fired(b);
+                    self.s[4 * nb + b] = if on { T::ONE } else { T::ZERO };
+                }
+                global_sum(ctx, scope, "MPIC", self.norm());
+                for b in 0..nb {
+                    if !self.lanes[b].frozen && self.s[4 * nb + b] != T::ZERO {
+                        self.cancel(b, i - 1);
+                    }
+                }
+            }
+            if !self.any(|l| !l.frozen) {
+                break;
+            }
+            for (out, _) in picked(self.outs.iter_mut(), self.lanes, Lane::live) {
+                out.iterations = i;
+            }
+            self.precondition(precs, |w| (&mut w.p, &mut w.p_hat));
+            self.sigma();
+            if self.lag {
+                self.m1(i, flags);
+            } else {
+                global_sum(ctx, scope, "MPI2", &mut self.s[..nb]);
+            }
+            for b in 0..nb {
+                let psum = self.s[b];
+                if !self.lanes[b].live() {
+                    continue;
+                } else if !psum.is_finite() {
+                    self.stop(b, Breakdown::NonFinite);
+                } else if psum == T::ZERO {
+                    self.lanes[b].broke = Some(Breakdown::PSumZero);
+                } else {
+                    self.lanes[b].alpha = self.lanes[b].rho / psum;
+                }
+            }
+            if self.any(Lane::live) {
+                self.omega_step(i, precs);
+            }
+            self.restart();
+        }
+
+        // Drain the lags when the iteration budget ran out with the last
+        // iteration's bookkeeping in flight: one batched deferred
+        // x-update, one blocking norm reduction, the stopping ladder.
+        if self.any(|l| l.lag.is_some()) {
+            self.update_iterates(Lane::deferred, |w| &w.p_hat_prev);
+            for b in 0..nb {
+                let lag = self.lanes[b].lag.take();
+                self.s[4 * nb + b] = lag.map_or(T::ZERO, |lag| lag.1);
+                self.lanes[b].due = lag.map(|lag| lag.0);
+            }
+            global_sum(ctx, scope, "MPI5", self.norm());
+            self.finish_due();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1688,6 +1024,7 @@ mod tests {
     use super::*;
     use crate::config::{SolverKind, SolverOptions};
     use crate::precond::IdentityPrec;
+    use crate::reference::bicgstab_reference;
     use accel::{Recorder, Serial};
     use blockgrid::{BcKind, BlockGrid, Decomp, GlobalGrid};
     use comm::{run_ranks, ReduceOrder, SelfComm, ThreadComm};
@@ -1957,11 +1294,10 @@ mod tests {
 
     #[test]
     fn overlap_halo_is_bitwise_identical_to_synchronous() {
-        // The tentpole determinism guarantee: the split-phase overlapped
-        // halo exchange must not perturb a single bit of the iteration —
-        // residual histories and solutions agree exactly with the
-        // synchronous path, on a communicating configuration (G(CI)
-        // preconditioner, so overlap runs inside the preconditioner too).
+        // The determinism guarantee of the split-phase overlapped halo
+        // exchange inside the communicating G(CI) preconditioner: it must
+        // not perturb a single bit of the iteration — residual histories
+        // and solutions agree exactly with the synchronous exchange.
         let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
         g.bc = paper_bcs();
         let n = g.unknowns();
@@ -2001,7 +1337,6 @@ mod tests {
                     tol,
                     max_iters: 20_000,
                     record_history: true,
-                    overlap_halo: overlap,
                     ..Default::default()
                 };
                 let out = bicgstab_solve(
@@ -2123,11 +1458,12 @@ mod tests {
         // The fusion determinism guarantee: regrouping the memory-bound
         // work (apply+dot sweeps, the merged x-update, KernelBiCGS56)
         // must not perturb a single bit of the iteration under a
-        // rank-ordered fold — histories and solutions agree exactly with
-        // the unfused schedule, on the threaded back-end (whose chunked
-        // partial folds must also be regroup-invariant), under both the
-        // split-phase and the blocking reduction schedules, and with a
-        // preconditioner that runs fused inner solves (FBiCGS-G(BiCGS)).
+        // rank-ordered fold — the production driver's histories and
+        // solutions agree exactly with the unfused reference schedule,
+        // on the threaded back-end (whose chunked partial folds must also
+        // be regroup-invariant), under both the split-phase and the
+        // blocking reduction schedules, and with a preconditioner that
+        // runs inner solves (FBiCGS-G(BiCGS)).
         use accel::Threads;
         let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
         g.bc = paper_bcs();
@@ -2138,7 +1474,7 @@ mod tests {
 
         for kind in [SolverKind::BiCgsGCi, SolverKind::FBiCgsGBiCgs] {
             for overlap_reduce in [true, false] {
-                let solve = |fuse_kernels: bool| {
+                let solve = |reference: bool| {
                     let decomp = Decomp::new([2, 2, 2]);
                     let g2 = g.clone();
                     let b_ref = b_host.clone();
@@ -2163,7 +1499,6 @@ mod tests {
                         let opts = SolverOptions {
                             eig_min_factor: 10.0,
                             overlap_reduce,
-                            fuse_kernels,
                             ..SolverOptions::default()
                         };
                         let mut prec = kind.build_preconditioner(&ctx, &opts);
@@ -2172,24 +1507,20 @@ mod tests {
                             max_iters: 20_000,
                             record_history: true,
                             overlap_reduce,
-                            fuse_kernels,
                             ..Default::default()
                         };
-                        let out = bicgstab_solve(
-                            &ctx,
-                            Scope::Global,
-                            &b,
-                            &mut x,
-                            &mut *prec,
-                            &mut ws,
-                            &params,
-                        );
+                        let (scope, p) = (Scope::Global, &mut *prec);
+                        let out = if reference {
+                            bicgstab_reference(&ctx, scope, &b, &mut x, p, &mut ws, &params, false)
+                        } else {
+                            bicgstab_solve(&ctx, scope, &b, &mut x, p, &mut ws, &params)
+                        };
                         (out, x.interior_to_host(&ctx.grid))
                     })
                 };
 
-                let unfused = solve(false);
-                let fused = solve(true);
+                let unfused = solve(true);
+                let fused = solve(false);
                 for (rank, ((os, xs), (oo, xo))) in unfused.iter().zip(&fused).enumerate() {
                     let tag = format!("{kind} overlap_reduce={overlap_reduce} rank {rank}");
                     assert!(os.converged && oo.converged, "{tag}: {os:?} vs {oo:?}");
@@ -2494,6 +1825,7 @@ mod feature_tests {
     use super::*;
     use crate::config::{SolverKind, SolverOptions};
     use crate::precond::{IdentityPrec, PrecTraits, Preconditioner};
+    use crate::reference::bicgstab_reference;
     use accel::{Recorder, Serial};
     use blockgrid::{BcKind, BlockGrid, Decomp, GlobalGrid};
     use comm::SelfComm;
@@ -2535,15 +1867,17 @@ mod feature_tests {
 
     #[test]
     fn early_exit_check_still_converges() {
-        let plain = solve_with(&SolveParams {
+        let params = SolveParams {
             tol: 1e-10,
             ..Default::default()
-        });
-        let early = solve_with(&SolveParams {
-            tol: 1e-10,
-            early_exit_check: true,
-            ..Default::default()
-        });
+        };
+        let plain = solve_with(&params);
+        let ctx = ctx();
+        let b = Field::from_interior(&ctx.dev, &ctx.grid, &rng_values(216, 7));
+        let mut x = ctx.field();
+        let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
+        let (scope, prec) = (Scope::Global, &mut IdentityPrec);
+        let early = bicgstab_reference(&ctx, scope, &b, &mut x, prec, &mut ws, &params, true);
         assert!(plain.converged && early.converged);
         // the mid-loop check can only save work, never add iterations
         assert!(early.iterations <= plain.iterations);
@@ -2688,19 +2022,12 @@ mod feature_tests {
             ..Default::default()
         };
         let mut prec = SolverKind::BiCgsGNoCommCi.build_preconditioner(&ctx, &opts);
-        let out = bicgstab_solve(
-            &ctx,
-            Scope::Global,
-            &b,
-            &mut x,
-            &mut *prec,
-            &mut ws,
-            &SolveParams {
-                tol: 1e-9,
-                early_exit_check: true,
-                ..Default::default()
-            },
-        );
+        let params = SolveParams {
+            tol: 1e-9,
+            ..Default::default()
+        };
+        let (scope, prec) = (Scope::Global, &mut *prec);
+        let out = bicgstab_reference(&ctx, scope, &b, &mut x, prec, &mut ws, &params, true);
         assert!(out.converged);
         let dense = stencil::matrix::assemble_poisson(&ctx.lap.global_ops(), ctx.grid.global.h);
         let got = x.interior_to_host(&ctx.grid);
@@ -2718,7 +2045,6 @@ mod feature_tests {
 #[cfg(test)]
 mod batch_tests {
     use super::*;
-    use crate::ctx::BatchWorkspace;
     use crate::precond::{IdentityPrec, PrecTraits};
     use accel::{GpuSimParams, Recorder, Serial, SimGpu, Threads};
     use blockgrid::{BcKind, BlockGrid, Decomp, GlobalGrid};
@@ -2833,8 +2159,11 @@ mod batch_tests {
         let mut xs: Vec<&mut Field<f64>> = xfields.iter_mut().collect();
         let mut ps: Vec<IdentityPrec> = (0..nb).map(|_| IdentityPrec).collect();
         let mut precs: Vec<&mut IdentityPrec> = ps.iter_mut().collect();
-        let mut bws = BatchWorkspace::new(&ctx.dev, &ctx.grid, nb);
-        let outs = bicgstab_solve_batch(
+        let mut bws: Vec<_> = (0..nb)
+            .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+            .collect();
+        let mut outs = vec![SolveOutcome::default(); nb];
+        bicgstab_solve_batch(
             &ctx,
             Scope::Global,
             &bs,
@@ -2843,6 +2172,7 @@ mod batch_tests {
             &mut bws,
             &params,
             &[],
+            &mut outs,
         );
         for (l, (s, bo)) in solo.iter().zip(&outs).enumerate() {
             let bx = xfields[l].interior_to_host(&ctx.grid);
@@ -2924,8 +2254,11 @@ mod batch_tests {
                 .map(|_| SolverKind::BiCgsGCi.build_preconditioner(&ctx, &opts))
                 .collect();
             let mut precs: Vec<_> = boxes.iter_mut().map(|p| &mut **p).collect();
-            let mut bws = BatchWorkspace::new(&ctx.dev, &ctx.grid, nb);
-            let outs = bicgstab_solve_batch(
+            let mut bws: Vec<_> = (0..nb)
+                .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+                .collect();
+            let mut outs = vec![SolveOutcome::default(); nb];
+            bicgstab_solve_batch(
                 &ctx,
                 Scope::Global,
                 &bs,
@@ -2934,6 +2267,7 @@ mod batch_tests {
                 &mut bws,
                 &params,
                 &[],
+                &mut outs,
             );
             let batch: Vec<(SolveOutcome, Vec<f64>)> = outs
                 .into_iter()
@@ -3011,9 +2345,12 @@ mod batch_tests {
             let mut xs: Vec<&mut Field<f64>> = xfields.iter_mut().collect();
             let mut ps: Vec<IdentityPrec> = (0..nb).map(|_| IdentityPrec).collect();
             let mut precs: Vec<&mut IdentityPrec> = ps.iter_mut().collect();
-            let mut bws = BatchWorkspace::new(&ctx.dev, &ctx.grid, nb);
+            let mut bws: Vec<_> = (0..nb)
+                .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+                .collect();
+            let mut outs = vec![SolveOutcome::default(); nb];
             let before_batch = ctx.comm.stats().allreduces;
-            let outs = bicgstab_solve_batch(
+            bicgstab_solve_batch(
                 &ctx,
                 Scope::Global,
                 &bs,
@@ -3022,6 +2359,7 @@ mod batch_tests {
                 &mut bws,
                 &params,
                 &[],
+                &mut outs,
             );
             let batch_msgs = ctx.comm.stats().allreduces - before_batch;
             let batch_iters: Vec<usize> = outs.iter().map(|o| o.iterations).collect();
@@ -3086,8 +2424,11 @@ mod batch_tests {
         let mut p0 = IdentityPrec;
         let mut p1 = IdentityPrec;
         let mut precs = [&mut p0, &mut p1];
-        let mut bws = BatchWorkspace::new(&ctx.dev, &ctx.grid, 2);
-        let outs = bicgstab_solve_batch(
+        let mut bws: Vec<_> = (0..2)
+            .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+            .collect();
+        let mut outs = vec![SolveOutcome::default(); 2];
+        bicgstab_solve_batch(
             &ctx,
             Scope::Global,
             &bs,
@@ -3096,6 +2437,7 @@ mod batch_tests {
             &mut bws,
             &params,
             &[],
+            &mut outs,
         );
         assert!(outs[0].converged, "{:?}", outs[0]);
         assert_eq!(outs[0].iterations, 0);
@@ -3177,13 +2519,16 @@ mod batch_tests {
             count: 0,
         };
         let mut precs = [&mut p0, &mut p1];
-        let mut bws = BatchWorkspace::new(&ctx.dev, &ctx.grid, 2);
+        let mut bws: Vec<_> = (0..2)
+            .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+            .collect();
+        let mut outs = vec![SolveOutcome::default(); 2];
         let cancels = if fire_after.is_some() {
             vec![Some(token), None]
         } else {
             Vec::new()
         };
-        let outs = bicgstab_solve_batch(
+        bicgstab_solve_batch(
             &ctx,
             Scope::Global,
             &bs,
@@ -3192,12 +2537,146 @@ mod batch_tests {
             &mut bws,
             &params,
             &cancels,
+            &mut outs,
         );
         let sols = xfields
             .iter()
             .map(|x| x.interior_to_host(&ctx.grid))
             .collect();
         (outs, sols)
+    }
+
+    /// Identity preconditioner that returns zero for its first `zeros`
+    /// applications: p̂ = 0 forces r̃ᵀA p̂ = 0, a PSumZero breakdown.
+    struct ZeroFirst {
+        zeros: usize,
+    }
+
+    impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for ZeroFirst {
+        fn apply(
+            &mut self,
+            _ctx: &RankCtx<T, D, C>,
+            rhs: &mut Field<T>,
+            out: &mut Field<T>,
+        ) -> usize {
+            if self.zeros > 0 {
+                self.zeros -= 1;
+                out.fill_zero();
+            } else {
+                out.copy_from(rhs);
+            }
+            0
+        }
+
+        fn traits(&self) -> PrecTraits {
+            PrecTraits {
+                fixed: true,
+                comm_free: true,
+                reduction_free: true,
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "ZeroFirst"
+        }
+    }
+
+    /// Every lane carries the solo safety net: on two ranks, lane 0
+    /// breaks down on its first iteration and restarts while lane 1 keeps
+    /// iterating, both sample true residuals, and each lane's history,
+    /// samples, restarts and solution are bitwise those of its solo solve
+    /// — under the overlapped and the blocking reduction schedules.
+    #[test]
+    fn batched_lanes_restart_and_sample_true_residuals_like_solo() {
+        let mut g = GlobalGrid::dirichlet([8, 6, 5], [0.15; 3], [0.0; 3]);
+        g.bc = paper_bcs();
+        let n = g.unknowns();
+        let b_hosts: Vec<Vec<f64>> = (0..2).map(|l| rng_values(n, 110 + l as u64)).collect();
+        for overlap_reduce in [true, false] {
+            let (g, b_hosts) = (g.clone(), b_hosts.clone());
+            let decomp = Decomp::new([2, 1, 1]);
+            let results = run_ranks::<f64, _, _>(2, ReduceOrder::RankOrder, move |comm| {
+                let grid = BlockGrid::new(g.clone(), decomp, comm.rank());
+                let dev = Serial::new(Recorder::disabled());
+                let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
+                let bfields: Vec<Field<f64>> = b_hosts
+                    .iter()
+                    .map(|bh| {
+                        Field::from_interior(
+                            &ctx.dev,
+                            &ctx.grid,
+                            &scatter(&ctx.grid, [8, 6, 5], bh),
+                        )
+                    })
+                    .collect();
+                let params = SolveParams {
+                    tol: 1e-10,
+                    max_iters: 5_000,
+                    true_residual_every: 2,
+                    max_restarts: 2,
+                    overlap_reduce,
+                    ..Default::default()
+                };
+                let zeros = [1, 0];
+
+                let mut solo = Vec::new();
+                for (b, &z) in bfields.iter().zip(&zeros) {
+                    let mut x = ctx.field();
+                    let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
+                    let mut prec = ZeroFirst { zeros: z };
+                    let out =
+                        bicgstab_solve(&ctx, Scope::Global, b, &mut x, &mut prec, &mut ws, &params);
+                    solo.push((out, x.interior_to_host(&ctx.grid)));
+                }
+
+                let bs: Vec<&Field<f64>> = bfields.iter().collect();
+                let (mut x0, mut x1) = (ctx.field(), ctx.field());
+                let mut xs = [&mut x0, &mut x1];
+                let (mut p0, mut p1) =
+                    (ZeroFirst { zeros: zeros[0] }, ZeroFirst { zeros: zeros[1] });
+                let mut precs = [&mut p0, &mut p1];
+                let mut bws: Vec<_> = (0..2)
+                    .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+                    .collect();
+                let mut outs = vec![SolveOutcome::default(); 2];
+                bicgstab_solve_batch(
+                    &ctx,
+                    Scope::Global,
+                    &bs,
+                    &mut xs,
+                    &mut precs,
+                    &mut bws,
+                    &params,
+                    &[],
+                    &mut outs,
+                );
+                let xs = [
+                    x0.interior_to_host(&ctx.grid),
+                    x1.interior_to_host(&ctx.grid),
+                ];
+                (solo, outs, xs)
+            });
+            for (rank, (solo, outs, xs)) in results.iter().enumerate() {
+                for (l, (s, (bo, bx))) in solo.iter().zip(outs.iter().zip(xs)).enumerate() {
+                    let tag = format!("overlap_reduce={overlap_reduce} rank {rank} lane {l}");
+                    assert!(s.0.converged, "{tag}: solo failed: {:?}", s.0);
+                    assert_eq!(s.0.restarts, 1 - l, "{tag}: restarts");
+                    assert!(
+                        !s.0.true_residuals.is_empty(),
+                        "{tag}: no true-residual samples"
+                    );
+                    assert_lane_matches_solo(&tag, s, bo, bx);
+                    assert_eq!(s.0.restarts, bo.restarts, "{tag}: restarts");
+                    let samples = |o: &SolveOutcome| -> Vec<(usize, u64)> {
+                        o.true_residuals
+                            .iter()
+                            .map(|&(i, r)| (i, r.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(samples(&s.0), samples(bo), "{tag}: true residuals diverge");
+                }
+            }
+        }
     }
 
     proptest! {

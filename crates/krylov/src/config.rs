@@ -44,18 +44,14 @@ pub struct SolverOptions {
     /// Bergamaschi rescaling: inflation of `λ_min` (paper: 100 for the
     /// multi-rank runs, 10 for the single-rank 64³ run).
     pub eig_min_factor: f64,
-    /// Overlap the preconditioner's halo exchanges with its deep-interior
-    /// sweeps (only the communicating `G(CI)` / `G(BiCGS)` flavours have
-    /// exchanges to hide). Mirrors `SolveParams::overlap_halo`.
+    /// Overlap the Chebyshev preconditioner's halo exchanges with its
+    /// deep-interior sweeps (only the communicating `G(CI)` flavour has
+    /// exchanges to hide; the Bi-CGSTAB loops exchange blocking).
     pub overlap_halo: bool,
     /// Split-phase batched reductions in the *inner* Bi-CGSTAB solves of
     /// the `G(BiCGS)` / `BJ(BiCGS)` preconditioners (the Chebyshev
     /// flavours are reduction-free). Mirrors `SolveParams::overlap_reduce`.
     pub overlap_reduce: bool,
-    /// Fused memory-bound kernels in the *inner* Bi-CGSTAB solves of the
-    /// `G(BiCGS)` / `BJ(BiCGS)` preconditioners. Mirrors
-    /// `SolveParams::fuse_kernels`.
-    pub fuse_kernels: bool,
     /// Run the Chebyshev preconditioner's sweeps, state and halo traffic
     /// in `f32` under the `f64` outer recurrence (default off). Only the
     /// `BJ(CI)` / `G(CI)` / `GNoComm(CI)` flavours have an inner
@@ -75,7 +71,6 @@ impl Default for SolverOptions {
             eig_min_factor: 100.0,
             overlap_halo: true,
             overlap_reduce: true,
-            fuse_kernels: true,
             mixed_precision: false,
         }
     }
@@ -155,17 +150,13 @@ impl SolverKind {
             Self::FBiCgsGBiCgs => {
                 let mut p =
                     InnerBiCgsPrec::new(ctx, Scope::Global, opts.inner_tol_g, opts.inner_max_iters);
-                p.set_overlap(opts.overlap_halo);
                 p.set_overlap_reduce(opts.overlap_reduce);
-                p.set_fuse(opts.fuse_kernels);
                 Box::new(p)
             }
             Self::FBiCgsBjBiCgs => {
                 let mut p =
                     InnerBiCgsPrec::new(ctx, Scope::Local, opts.inner_tol_bj, opts.inner_max_iters);
-                p.set_overlap(opts.overlap_halo);
                 p.set_overlap_reduce(opts.overlap_reduce);
-                p.set_fuse(opts.fuse_kernels);
                 Box::new(p)
             }
             Self::BiCgsBjCi => {

@@ -5,6 +5,8 @@ use blockgrid::{BlockGrid, Field, HaloExchange};
 use comm::Communicator;
 use stencil::Laplacian;
 
+use crate::bicgstab::LaneScratch;
+
 /// Everything one rank needs to run the solver: its device, its
 /// communicator handle, its subdomain, the matrix-free operator and the
 /// halo-exchange plan. One `RankCtx` is built per MPI-rank-equivalent
@@ -67,23 +69,21 @@ pub struct Workspace<T> {
     pub w: Field<T>,
     /// `t = A r̂`.
     pub t: Field<T>,
-    /// Previous iteration's `p̂`, kept alive by the fused overlap
+    /// Previous iteration's `p̂`, kept alive by the overlapped
     /// schedule: its merged x-update (`x ← (x + α p̂) + ω r̂`) is deferred
     /// into the *next* iteration's M1 window, after the preconditioner
     /// has already refilled `p_hat` — so the two buffers ping-pong via
     /// `std::mem::swap` instead of copying.
     pub p_hat_prev: Field<T>,
-    /// Per-row dot partials for the fused split-phase stencil sweeps
-    /// (`Laplacian::apply_interior_dot` / `apply_shell_dot`): sized for
-    /// the widest fused dot group (`slot_len(3)`, the three KernelBiCGS3F
-    /// components), reused by the one-component KernelBiCGS1 fold.
-    pub slots: Vec<T>,
+    /// Host-side state of the lane driver (per-lane scalars and the
+    /// buffers behind its lane lists). A batched solve keeps the whole
+    /// batch's in its first workspace.
+    pub(crate) scratch: LaneScratch<T>,
 }
 
 impl<T: Scalar> Workspace<T> {
     /// Allocate the workspace on `dev` for `grid`.
     pub fn new<D: Device>(dev: &D, grid: &BlockGrid) -> Self {
-        let lap = Laplacian::new(grid);
         Self {
             r: Field::zeros(dev, grid),
             r0t: Field::zeros(dev, grid),
@@ -93,37 +93,8 @@ impl<T: Scalar> Workspace<T> {
             w: Field::zeros(dev, grid),
             t: Field::zeros(dev, grid),
             p_hat_prev: Field::zeros(dev, grid),
-            slots: vec![T::ZERO; lap.slot_len(3)],
+            scratch: LaneScratch::default(),
         }
-    }
-}
-
-/// Workspace of a batched multi-RHS solve: one full [`Workspace`] per
-/// lane, so every per-lane helper (preconditioner application, boundary
-/// conditions, halo packing) sees an ordinary [`Field`] while the
-/// batched kernels stride all lanes inside one launch. Allocated once
-/// and reused across batched solves, like the solo workspace.
-pub struct BatchWorkspace<T> {
-    /// Per-lane vector sets, indexed by lane.
-    pub lanes: Vec<Workspace<T>>,
-}
-
-impl<T: Scalar> BatchWorkspace<T> {
-    /// Allocate `batch` lanes of workspace on `dev` for `grid`.
-    pub fn new<D: Device>(dev: &D, grid: &BlockGrid, batch: usize) -> Self {
-        Self {
-            lanes: (0..batch).map(|_| Workspace::new(dev, grid)).collect(),
-        }
-    }
-
-    /// Number of lanes this workspace can carry.
-    pub fn batch(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Whether the workspace has no lanes.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
     }
 }
 

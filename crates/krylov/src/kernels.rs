@@ -55,14 +55,6 @@ pub const INFO_BICGS56: KernelInfo = KernelInfo::new("KernelBiCGS56", 48, 8);
 /// `KernelNorm2Axpy`: residual formation `r ← b − w` fused with `‖r‖²`
 /// (setup/restart path; replaces copy + axpy + dot at 24 B/elem extra).
 pub const INFO_NORM2AXPY: KernelInfo = KernelInfo::new("KernelNorm2Axpy", 32, 3);
-/// Fold of per-row dot partials deposited by a split fused-dot sweep
-/// (`NR = 1`). Named with the `KernelFold` prefix so sweep-count
-/// accounting can exclude these row-sized launches from full-grid
-/// sweep totals.
-pub const INFO_FOLD1: KernelInfo = KernelInfo::new("KernelFold1", 8, 1);
-/// Fold of per-row dot partials for a three-way split fused dot
-/// (`NR = 3`, `KernelBiCGS3F` split form).
-pub const INFO_FOLD3: KernelInfo = KernelInfo::new("KernelFold3", 24, 3);
 /// `KernelCI1f32`: the Chebyshev start step in single precision — the
 /// same sweep as `KernelCI1` at half the element width (40 B → 20 B).
 pub const INFO_CI1_F32: KernelInfo = KernelInfo::new("KernelCI1f32", 20, 12);

@@ -43,6 +43,7 @@ mod ctx;
 pub mod kernels;
 mod mixed;
 mod precond;
+mod reference;
 
 pub use bicgstab::{
     bicgstab_solve, bicgstab_solve_batch, Breakdown, Scope, SolveOutcome, SolveParams,
@@ -50,6 +51,7 @@ pub use bicgstab::{
 pub use cancel::CancelToken;
 pub use cheby::{global_bounds, local_bounds, ChebyMode, ChebyOutcome, ChebyshevIteration};
 pub use config::{SolverKind, SolverOptions};
-pub use ctx::{BatchWorkspace, RankCtx, Workspace};
+pub use ctx::{RankCtx, Workspace};
 pub use mixed::MixedChebyshev;
 pub use precond::{ChebyPrecond, IdentityPrec, InnerBiCgsPrec, PrecTraits, Preconditioner};
+pub use reference::bicgstab_reference;

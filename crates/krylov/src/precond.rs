@@ -138,9 +138,7 @@ pub struct InnerBiCgsPrec<T> {
     /// Relative tolerance on the inner residual.
     tol_rel: f64,
     max_iters: usize,
-    overlap: bool,
     overlap_reduce: bool,
-    fuse: bool,
     ws: Workspace<T>,
     name: &'static str,
 }
@@ -164,30 +162,16 @@ impl<T: Scalar> InnerBiCgsPrec<T> {
             scope,
             tol_rel,
             max_iters,
-            overlap: true,
             overlap_reduce: true,
-            fuse: true,
             ws: Workspace::new(&ctx.dev, &ctx.grid),
             name,
         }
-    }
-
-    /// Enable or disable split-phase halo overlap in the inner solve
-    /// (on by default; only the global scope communicates).
-    pub fn set_overlap(&mut self, on: bool) {
-        self.overlap = on;
     }
 
     /// Enable or disable split-phase batched reductions in the inner
     /// solve (on by default; only the global scope reduces).
     pub fn set_overlap_reduce(&mut self, on: bool) {
         self.overlap_reduce = on;
-    }
-
-    /// Enable or disable the fused memory-bound kernels of the inner
-    /// solve (on by default; bitwise-transparent either way).
-    pub fn set_fuse(&mut self, on: bool) {
-        self.fuse = on;
     }
 }
 
@@ -209,9 +193,7 @@ impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for Inner
             tol: self.tol_rel * rhs_norm,
             max_iters: self.max_iters,
             record_history: false,
-            overlap_halo: self.overlap,
             overlap_reduce: self.overlap_reduce,
-            fuse_kernels: self.fuse,
             ..Default::default()
         };
         let outcome = bicgstab_solve(

@@ -100,7 +100,6 @@ fn fused_solve_is_allocation_free_after_warmup() {
             record_history: false,
             ..Default::default()
         };
-        assert!(params.fuse_kernels, "fusion must be the default schedule");
 
         // Warm-up: one solve populates the halo buffer pool, the
         // communicator's per-(peer, tag) queues and any lazily-built

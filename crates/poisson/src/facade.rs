@@ -4,7 +4,7 @@ use accel::{Device, Scalar};
 use blockgrid::{BcKind, BlockGrid, Decomp, Field};
 use comm::{Communicator, ReduceOp};
 use krylov::{
-    bicgstab_solve, bicgstab_solve_batch, BatchWorkspace, CancelToken, RankCtx, Scope,
+    bicgstab_reference, bicgstab_solve, bicgstab_solve_batch, CancelToken, RankCtx, Scope,
     SolveOutcome, SolveParams, SolverKind, SolverOptions, Workspace,
 };
 
@@ -48,6 +48,16 @@ pub enum SetupError {
     /// No face is Dirichlet: the pure-Neumann problem is singular (the
     /// solution is defined only up to a constant).
     PureNeumann,
+    /// The decomposition splits an axis into more blocks than it has
+    /// unknowns, which would leave a rank an empty subdomain.
+    TooManySubdomains {
+        /// The offending axis.
+        axis: usize,
+        /// Blocks the decomposition asks for along it.
+        subdomains: usize,
+        /// Unknowns along it after discretisation.
+        unknowns: usize,
+    },
 }
 
 impl std::fmt::Display for SetupError {
@@ -74,6 +84,14 @@ impl std::fmt::Display for SetupError {
                 f,
                 "pure-Neumann problem is singular: at least one face must be Dirichlet"
             ),
+            Self::TooManySubdomains {
+                axis,
+                subdomains,
+                unknowns,
+            } => write!(
+                f,
+                "axis {axis}: more subdomains ({subdomains}) than unknowns ({unknowns})"
+            ),
         }
     }
 }
@@ -99,7 +117,7 @@ pub struct PoissonSolver<T: Scalar, D: Device, C: Communicator<T>> {
     /// Lane workspaces for [`PoissonSolver::solve_batch`], grown lazily
     /// to the widest batch seen and reused across batches (the warm
     /// path of a batching serving layer).
-    batch_ws: BatchWorkspace<T>,
+    batch_ws: Vec<Workspace<T>>,
     /// Per-lane iterates for `solve_batch`, same growth policy.
     batch_xs: Vec<Field<T>>,
 }
@@ -154,7 +172,15 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
         if !problem.bc.iter().flatten().any(|&b| b == BcKind::Dirichlet) {
             return Err(SetupError::PureNeumann);
         }
-        let grid = BlockGrid::new(problem.discretize(), decomp, comm.rank());
+        let global = problem.discretize();
+        if let Some(axis) = (0..3).find(|&a| decomp.ns[a] > global.n[a]) {
+            return Err(SetupError::TooManySubdomains {
+                axis,
+                subdomains: decomp.ns[axis],
+                unknowns: global.n[axis],
+            });
+        }
+        let grid = BlockGrid::new(global, decomp, comm.rank());
         let ctx: RankCtx<T, D, C> = RankCtx::new(dev, comm, grid);
 
         // Assemble and globally normalise the RHS (Sec. IV: "we always
@@ -165,7 +191,6 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
 
         let ws = Workspace::new(&ctx.dev, &ctx.grid);
         let x = Field::zeros(&ctx.dev, &ctx.grid);
-        let batch_ws = BatchWorkspace::new(&ctx.dev, &ctx.grid, 0);
         Ok(Self {
             ctx,
             ws,
@@ -173,7 +198,7 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
             b_norm,
             x,
             problem,
-            batch_ws,
+            batch_ws: Vec::new(),
             batch_xs: Vec::new(),
         })
     }
@@ -261,9 +286,8 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
     /// an invalid lane gets its [`SetupError`] while the remaining lanes
     /// ride the batch — the valid-lane set is identical on every rank.
     /// `cancels` is empty (no cancellation) or one optional token per
-    /// input lane; `params.cancel` must be `None` (per-lane tokens
-    /// replace it). Lane workspaces are allocated lazily and kept for
-    /// the next batch.
+    /// input lane; `params.cancel`, if set, cancels every lane. Lane
+    /// workspaces are allocated lazily and kept for the next batch.
     pub fn solve_batch(
         &mut self,
         rhs_locals: &[&[f64]],
@@ -296,9 +320,8 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
 
         let nv = b_fields.len();
         let outs = if nv > 0 {
-            while self.batch_ws.lanes.len() < nv {
+            while self.batch_ws.len() < nv {
                 self.batch_ws
-                    .lanes
                     .push(Workspace::new(&self.ctx.dev, &self.ctx.grid));
             }
             while self.batch_xs.len() < nv {
@@ -322,6 +345,7 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
                     .map(|l| cancels[l].clone())
                     .collect()
             };
+            let mut outs = vec![SolveOutcome::default(); nv];
             bicgstab_solve_batch(
                 &self.ctx,
                 Scope::Global,
@@ -331,7 +355,9 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
                 &mut self.batch_ws,
                 params,
                 &lane_cancels,
-            )
+                &mut outs,
+            );
+            outs
         } else {
             Vec::new()
         };
@@ -428,6 +454,31 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
             &mut *prec,
             &mut self.ws,
             params,
+        )
+    }
+
+    /// [`solve`](PoissonSolver::solve) on the unfused, blocking reference
+    /// schedule ([`krylov::bicgstab_reference`]), with Algorithm 1's
+    /// mid-loop convergence check when `early_exit` — the baseline arm of
+    /// the fusion and early-exit ablations.
+    pub fn solve_reference(
+        &mut self,
+        kind: SolverKind,
+        opts: &SolverOptions,
+        params: &SolveParams,
+        early_exit: bool,
+    ) -> SolveOutcome {
+        self.x.fill_zero();
+        let mut prec = kind.build_preconditioner(&self.ctx, opts);
+        bicgstab_reference(
+            &self.ctx,
+            Scope::Global,
+            &self.b,
+            &mut self.x,
+            &mut *prec,
+            &mut self.ws,
+            params,
+            early_exit,
         )
     }
 
@@ -686,6 +737,27 @@ mod tests {
         let mut p = paper_problem(9);
         p.bc = [[blockgrid::BcKind::Neumann; 2]; 3];
         assert_eq!(try_new_err(p), SetupError::PureNeumann);
+    }
+
+    #[test]
+    fn try_new_reports_too_many_subdomains_on_every_rank() {
+        // Five nodes with Dirichlet ends leave three unknowns along x:
+        // four blocks would give one rank an empty subdomain. Every rank
+        // refuses from shared data, before any collective.
+        let decomp = Decomp::new([4, 1, 1]);
+        let errs = comm::run_ranks::<f64, _, _>(4, comm::ReduceOrder::RankOrder, move |comm| {
+            let mut p = unit_cube_dirichlet(9);
+            p.nodes[0] = 5;
+            PoissonSolver::<f64, _, _>::try_new(p, decomp, Serial::new(Recorder::disabled()), comm)
+                .map(|_| ())
+                .expect_err("an empty subdomain must be refused")
+        });
+        let want = SetupError::TooManySubdomains {
+            axis: 0,
+            subdomains: 4,
+            unknowns: 3,
+        };
+        assert_eq!(errs, vec![want; 4]);
     }
 
     #[test]

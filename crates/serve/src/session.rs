@@ -374,7 +374,6 @@ impl Session {
             tol: req.tol,
             max_iters: req.max_iters,
             record_history: false,
-            overlap_halo: req.opts.overlap_halo,
             overlap_reduce: req.opts.overlap_reduce,
             cancel: Some(cancel),
             ..Default::default()
@@ -464,11 +463,8 @@ impl Session {
             tol: head.tol,
             max_iters: head.max_iters,
             record_history: false,
-            overlap_halo: head.opts.overlap_halo,
             overlap_reduce: head.opts.overlap_reduce,
-            // Per-lane tokens travel through `cancels`; a params-level
-            // token is a solo-path concept the batched driver rejects.
-            cancel: None,
+            // Per-lane tokens travel through `cancels`.
             ..Default::default()
         };
         let out = match &mut self.world {

@@ -328,6 +328,32 @@ fn a_zero_rhs_is_refused_cleanly_and_the_session_pool_stays_healthy() {
 }
 
 #[test]
+fn too_many_subdomains_are_refused_cleanly_without_a_quarantine() {
+    // Five nodes per axis with Dirichlet ends leave three unknowns along
+    // x; a four-way split would hand one rank an empty subdomain.
+    let svc = single_worker(8);
+    let mut req = quick(unit_cube_dirichlet(5));
+    req.decomp = [4, 1, 1];
+    let result = svc.submit(req).unwrap().wait();
+    assert!(
+        matches!(
+            result,
+            JobResult::Failed(JobError::Setup(SetupError::TooManySubdomains {
+                axis: 0,
+                subdomains: 4,
+                unknowns: 3,
+            }))
+        ),
+        "an empty subdomain must fail as a clean SetupError, got {result:?}"
+    );
+    let good = svc.submit(quick(unit_cube_dirichlet(7))).unwrap().wait();
+    assert!(good.output().is_some_and(|o| o.outcome.converged));
+    let stats = svc.stats();
+    assert_eq!(stats.failed, 1);
+    assert_eq!(stats.quarantined, 0, "a setup refusal is not a quarantine");
+}
+
+#[test]
 fn shutdown_sheds_queued_jobs_and_finishes_running_ones() {
     let gate = Arc::new(AtomicBool::new(false));
     let svc = single_worker(0);

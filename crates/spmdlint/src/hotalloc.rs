@@ -1,9 +1,10 @@
 //! SPMD003 — allocation in registered hot functions.
 //!
 //! The steady-state solve path is required to be allocation-free (the
-//! runtime counting-allocator audits in `solve_zero_alloc.rs` /
-//! `halo_zero_alloc.rs` enforce it dynamically). This pass turns the
-//! same contract into a static gate: inside the registered hot functions
+//! runtime counting-allocator audits in `solve_zero_alloc.rs`,
+//! `batch_zero_alloc.rs` and `halo_zero_alloc.rs` enforce it
+//! dynamically). This pass turns the same contract into a static gate:
+//! inside the registered hot functions
 //! any allocating construct — `Vec::new`, `vec![…]`, `Box::new`,
 //! `format!`, `String::from`, `.to_vec()`, `.to_owned()`,
 //! `.to_string()`, `.collect()`, `.clone()` — is a finding unless the
@@ -16,10 +17,28 @@ use crate::{Finding, SrcInfo};
 /// `(path suffix, fn name)` pairs forming the hot registry: the
 /// steady-state set audited by the zero-alloc runtime tests.
 pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
-    // Bi-CGSTAB hot loop and its helpers.
+    // Bi-CGSTAB lane driver (the solo solve is its one-lane call) and
+    // its helpers.
     ("crates/krylov/src/bicgstab.rs", "bicgstab_solve"),
-    ("crates/krylov/src/bicgstab.rs", "refresh_ghosts"),
-    ("crates/krylov/src/bicgstab.rs", "refresh_and_apply"),
+    ("crates/krylov/src/bicgstab.rs", "bicgstab_solve_batch"),
+    ("crates/krylov/src/bicgstab.rs", "reset"),
+    ("crates/krylov/src/bicgstab.rs", "picked"),
+    ("crates/krylov/src/bicgstab.rs", "scatter"),
+    ("crates/krylov/src/bicgstab.rs", "recycle"),
+    ("crates/krylov/src/bicgstab.rs", "lend"),
+    ("crates/krylov/src/bicgstab.rs", "park"),
+    ("crates/krylov/src/bicgstab.rs", "settle"),
+    ("crates/krylov/src/bicgstab.rs", "precondition"),
+    ("crates/krylov/src/bicgstab.rs", "exchange"),
+    ("crates/krylov/src/bicgstab.rs", "residuals"),
+    ("crates/krylov/src/bicgstab.rs", "finish_due"),
+    ("crates/krylov/src/bicgstab.rs", "update_iterates"),
+    ("crates/krylov/src/bicgstab.rs", "sigma"),
+    ("crates/krylov/src/bicgstab.rs", "m1"),
+    ("crates/krylov/src/bicgstab.rs", "omega_step"),
+    ("crates/krylov/src/bicgstab.rs", "restart"),
+    ("crates/krylov/src/bicgstab.rs", "drive"),
+    ("crates/krylov/src/bicgstab.rs", "refresh_ghosts_many"),
     ("crates/krylov/src/bicgstab.rs", "global_sum"),
     // Fused vector kernels.
     ("crates/krylov/src/kernels.rs", "axpy_inplace"),
@@ -35,6 +54,17 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/krylov/src/kernels.rs", "diff_norm2"),
     ("crates/krylov/src/kernels.rs", "norm2_local"),
     ("crates/krylov/src/kernels.rs", "scale"),
+    // Batched (lane-strided) kernels of the lane driver.
+    ("crates/krylov/src/kernels.rs", "norm2_axpy_batch"),
+    ("crates/krylov/src/kernels.rs", "axpy_dot_batch"),
+    ("crates/krylov/src/kernels.rs", "axpy2_chained_batch"),
+    (
+        "crates/krylov/src/kernels.rs",
+        "residual_p_update_fused_batch",
+    ),
+    ("crates/stencil/src/laplacian.rs", "apply_fused_dot_batch"),
+    ("crates/stencil/src/laplacian.rs", "apply_fused_dot3_batch"),
+    ("crates/blockgrid/src/halo.rs", "exchange_batch"),
     // Chebyshev preconditioner inner loop + stencil combine.
     ("crates/krylov/src/cheby.rs", "solve"),
     ("crates/krylov/src/cheby.rs", "refresh_ghosts"),
@@ -48,9 +78,6 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "apply_combine_interior"),
     ("crates/stencil/src/laplacian.rs", "apply_combine_shell"),
     ("crates/stencil/src/laplacian.rs", "combine_on_map"),
-    ("crates/stencil/src/laplacian.rs", "apply_interior_dot"),
-    ("crates/stencil/src/laplacian.rs", "apply_shell_dot"),
-    ("crates/stencil/src/laplacian.rs", "fold"),
     // Halo pack/unpack and the split-phase exchange path.
     ("crates/blockgrid/src/halo.rs", "pack_face"),
     ("crates/blockgrid/src/halo.rs", "unpack_face"),

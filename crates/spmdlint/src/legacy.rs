@@ -29,6 +29,8 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/blockgrid/tests/halo_zero_alloc.rs",
     // Test fixture: counting global allocator (passthrough to System).
     "crates/krylov/tests/solve_zero_alloc.rs",
+    // Test fixture: counting global allocator (passthrough to System).
+    "crates/krylov/tests/batch_zero_alloc.rs",
     // Test fixture: deliberately unsound kernel mutant the sanitizer
     // must catch.
     "crates/check/tests/mutations.rs",
@@ -46,9 +48,6 @@ pub const MUST_USE_TYPES: &[(&str, &str)] = &[
     ("crates/blockgrid/src/halo.rs", "PendingExchange"),
     // Dropping a job handle silently discards the tenant's result.
     ("crates/serve/src/job.rs", "JobHandle"),
-    // Dropping the fold handle abandons the slot partials of a fused
-    // split-phase dot — the scalar would silently never be produced.
-    ("crates/stencil/src/laplacian.rs", "PendingDotFold"),
 ];
 
 /// How many lines above an `unsafe` token a `SAFETY` comment may sit.

@@ -2,9 +2,9 @@
 //!
 //! Every split-phase begin (`iall_reduce`/`iall_reduce_batch` returning a
 //! `ReduceRequest`, `iall_reduce_many` returning a `ReduceManyRequest`,
-//! `halo.begin` returning a `PendingExchange`, `apply_shell_dot`
-//! returning a `PendingDotFold`) must reach its finish (`reduce_finish`,
-//! `reduce_finish_many`, `finish`, `fold`) on **every** control-flow path.
+//! `halo.begin` returning a `PendingExchange`) must reach its finish
+//! (`reduce_finish`, `reduce_finish_many`, `finish`) on **every**
+//! control-flow path.
 //! The walker interprets a function body statement-by-statement over the
 //! token tree: `if`/`else` and `match` arms are merged with AND semantics
 //! (finished only if finished on every arm), loops with OR, and `return`
@@ -54,12 +54,6 @@ const CLASSES: &[BeginClass] = &[
         finish: "finish",
         handle: "PendingExchange",
         contextual_halo: true,
-    },
-    BeginClass {
-        begins: &["apply_shell_dot"],
-        finish: "fold",
-        handle: "PendingDotFold",
-        contextual_halo: false,
     },
 ];
 

@@ -20,11 +20,6 @@ pub fn finished_on_one_branch_only(ctx: &Ctx, split: bool) {
     // fallthrough arm drops the exchange
 }
 
-pub fn dropped_entirely(lap: &Laplacian, dev: &Dev) {
-    let fold = lap.apply_shell_dot(dev, INFO, &u, &mut w); // EXPECT: SPMD001
-    other_work(dev);
-}
-
 pub fn properly_paired_is_clean(comm: &Comm, flag: bool) -> f64 {
     let req = comm.iall_reduce(&[1.0]);
     let mut out = [0.0];

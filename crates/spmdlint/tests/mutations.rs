@@ -51,6 +51,7 @@ fn findings_with(rel: &str, text: &str, code: &str) -> Vec<(u32, String)> {
 fn unmutated_sources_are_clean() {
     for rel in [
         "crates/krylov/src/bicgstab.rs",
+        "crates/krylov/src/reference.rs",
         "crates/krylov/src/kernels.rs",
         "crates/krylov/src/cheby.rs",
         "crates/krylov/src/mixed.rs",
@@ -70,39 +71,22 @@ fn unmutated_sources_are_clean() {
 
 #[test]
 fn dropped_reduce_finish_is_caught_spmd001() {
-    let rel = "crates/krylov/src/bicgstab.rs";
-    let text = load(rel);
-    let finish = line_of(&text, "ctx.comm.reduce_finish(req, &mut red[..ng]);");
-    let begin = line_of(&text, "let req = ctx.comm.iall_reduce_batch(&groups[..ng]");
-    let mutant = blank_line(&text, finish);
-    let found = findings_with(rel, &mutant, "SPMD001");
-    assert!(
-        found
-            .iter()
-            .any(|(l, m)| *l == begin && m.contains("reduce_finish")),
-        "expected SPMD001 at the iall_reduce_batch begin line {begin}, got {found:?}"
-    );
-}
-
-#[test]
-fn dropped_halo_finish_is_caught_spmd001() {
+    // The lane driver's M1: the chunked split-phase reduction whose
+    // window hides the deferred x-updates.
     let rel = "crates/krylov/src/bicgstab.rs";
     let text = load(rel);
     let finish = line_of(
         &text,
-        "ctx.halo.finish(&ctx.dev, &ctx.comm, pending, &mut ws.p_hat)",
+        "ctx.comm.reduce_finish_many(req, &mut self.s[..len]);",
     );
-    let begin = line_of(
-        &text,
-        "let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &ws.p_hat)",
-    );
+    let begin = line_of(&text, "let req = ctx.comm.iall_reduce_many(&self.s[..len]");
     let mutant = blank_line(&text, finish);
     let found = findings_with(rel, &mutant, "SPMD001");
     assert!(
         found
             .iter()
-            .any(|(l, m)| *l == begin && m.contains("PendingExchange")),
-        "expected SPMD001 at the halo begin line {begin}, got {found:?}"
+            .any(|(l, m)| *l == begin && m.contains("reduce_finish_many")),
+        "expected SPMD001 at the iall_reduce_many begin line {begin}, got {found:?}"
     );
 }
 
@@ -128,25 +112,6 @@ fn dropped_f32_halo_finish_is_caught_spmd001() {
             .iter()
             .any(|(l, m)| *l == begin && m.contains("PendingExchange")),
         "expected SPMD001 at the sweep's halo begin line {begin}, got {found:?}"
-    );
-}
-
-#[test]
-fn dropped_dot_fold_is_caught_spmd001() {
-    let rel = "crates/krylov/src/bicgstab.rs";
-    let text = load(rel);
-    let fold = line_of(
-        &text,
-        "let [s] = fold.fold(&ctx.dev, INFO_FOLD1, &ws.slots);",
-    );
-    let begin = line_of(&text, "let fold = ctx.lap.apply_shell_dot(");
-    let mutant = blank_line(&text, fold);
-    let found = findings_with(rel, &mutant, "SPMD001");
-    assert!(
-        found
-            .iter()
-            .any(|(l, m)| *l == begin && m.contains("PendingDotFold")),
-        "expected SPMD001 at the apply_shell_dot line {begin}, got {found:?}"
     );
 }
 
@@ -225,26 +190,26 @@ fn fresh_unwrap_in_serve_is_caught_spmd004() {
 
 #[test]
 fn stripped_must_use_is_caught_spmd006() {
-    // Seeded mutation: a PendingDotFold declaration stripped of its
+    // Seeded mutation: a PendingExchange declaration stripped of its
     // `#[must_use]` marker must produce a finding, and the marked form
     // must not — the lint reads the attribute, not just the type name.
     let dir = std::env::temp_dir().join(format!("spmdlint-mustuse-{}", std::process::id()));
-    let file = dir.join("crates/stencil/src/laplacian.rs");
+    let file = dir.join("crates/blockgrid/src/halo.rs");
     std::fs::create_dir_all(file.parent().unwrap()).unwrap();
 
-    std::fs::write(&file, "pub struct PendingDotFold<const NR: usize> {}\n").unwrap();
+    std::fs::write(&file, "pub struct PendingExchange {}\n").unwrap();
     let mut findings = Vec::new();
     spmdlint::legacy::audit_must_use(&dir, &mut findings);
     assert!(
         findings
             .iter()
-            .any(|f| f.code == "SPMD006" && f.message.contains("PendingDotFold")),
+            .any(|f| f.code == "SPMD006" && f.message.contains("PendingExchange")),
         "unmarked mutant not caught: {findings:?}"
     );
 
     std::fs::write(
         &file,
-        "#[must_use = \"fold the partials\"]\npub struct PendingDotFold<const NR: usize> {}\n",
+        "#[must_use = \"finish the exchange\"]\npub struct PendingExchange {}\n",
     )
     .unwrap();
     let mut findings = Vec::new();
@@ -252,7 +217,7 @@ fn stripped_must_use_is_caught_spmd006() {
     assert!(
         !findings
             .iter()
-            .any(|f| f.message.contains("PendingDotFold")),
+            .any(|f| f.message.contains("PendingExchange")),
         "marked declaration flagged: {findings:?}"
     );
     std::fs::remove_dir_all(&dir).ok();

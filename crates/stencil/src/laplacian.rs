@@ -175,10 +175,8 @@ impl Laplacian {
     /// `KernelBiCGS1`: `w = A p̂`, `p_sum = r̃ᵀ w`).
     ///
     /// The dot folds each row in the canonical edge-last order
-    /// ([`fold_row_edge_last`]), so the result is bitwise identical to
-    /// the split halo-overlap form ([`Laplacian::apply_interior_dot`] +
-    /// [`Laplacian::apply_shell_dot`] + fold) and to a plain `dot` over
-    /// `w` after a separate apply.
+    /// ([`fold_row_edge_last`]), so the result is bitwise identical to a
+    /// plain `dot` over `w` after a separate apply.
     pub fn apply_fused_dot<T: Scalar, D: Device>(
         &self,
         dev: &D,
@@ -465,181 +463,6 @@ impl Laplacian {
                 fold_row_edge_last(row.len(), mid, |i| gsl[b + i] * row[i]),
             ]
         });
-    }
-
-    /// Stencil sweep over one sub-map of the interior that also deposits
-    /// per-row partials of `NR` dot products into `slots`. `terms`
-    /// receives the padded linear index `c` and the freshly computed
-    /// stencil value `v` and returns the `NR` per-element dot terms.
-    /// `accumulate` adds the piece's row partials onto the slot contents
-    /// (x-face pieces extend rows already seeded by the deep sweep);
-    /// otherwise the partials overwrite the slot row.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_on_map_dot<T: Scalar, D: Device, F, const NR: usize>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        map: RowMap,
-        slot_map: RowMap,
-        accumulate: bool,
-        u: &Field<T>,
-        w: &mut Field<T>,
-        slots: &mut [T],
-        terms: &F,
-    ) where
-        F: Fn(usize, T) -> [T; NR] + Sync,
-    {
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
-        let us = u.as_slice();
-        let base0 = map.base;
-        let two = T::from_f64(2.0);
-        dev.launch_rows2(
-            info,
-            map,
-            w.as_mut_slice(),
-            slot_map,
-            slots,
-            |j, k, row, slot| {
-                let b = base0 + j * sy + k * sz;
-                let mut acc = [T::ZERO; NR];
-                for (i, out) in row.iter_mut().enumerate() {
-                    let c = b + i;
-                    let uc = us[c];
-                    let v = cx * (two * uc - us[c - 1] - us[c + 1])
-                        + cy * (two * uc - us[c - sy] - us[c + sy])
-                        + cz * (two * uc - us[c - sz] - us[c + sz]);
-                    *out = v;
-                    acc = accel::add_partials(acc, terms(c, v));
-                }
-                if accumulate {
-                    for (s, a) in slot.iter_mut().zip(acc) {
-                        *s += a;
-                    }
-                } else {
-                    slot.copy_from_slice(&acc);
-                }
-            },
-        );
-    }
-
-    /// Slot-buffer row map for a shell/deep piece: the slot row of
-    /// interior row `(J, K)` lives at offset `(J + ny·K) · NR`, and a
-    /// piece whose first row is interior row `(j0, k0)` therefore uses
-    /// base `(j0 + ny·k0) · NR` with strides `NR` / `ny·NR`.
-    fn slot_map_for<const NR: usize>(&self, j0: usize, k0: usize, piece: RowMap) -> RowMap {
-        let ny = self.grid.local_n[1];
-        RowMap {
-            base: (j0 + ny * k0) * NR,
-            len: NR,
-            ny: piece.ny,
-            nz: piece.nz,
-            sy: NR,
-            sz: ny * NR,
-        }
-    }
-
-    /// Number of slot elements [`Laplacian::apply_interior_dot`] /
-    /// [`Laplacian::apply_shell_dot`] need for an `NR`-way fused dot:
-    /// one `NR`-slot row per interior `(j, k)` row.
-    pub fn slot_len(&self, nr: usize) -> usize {
-        self.grid.local_n[1] * self.grid.local_n[2] * nr
-    }
-
-    /// Deep-interior half of a split fused `apply + NR-way dot` sweep:
-    /// `w = A u` over the deep interior, depositing each row's dot
-    /// partials into `slots`. Safe while the halo exchange is in flight
-    /// (the deep stencil reads no ghost). No-op when any local extent is
-    /// below 3. Complete the sweep with [`Laplacian::apply_shell_dot`]
-    /// and fold the slots with [`PendingDotFold::fold`]; the composed
-    /// result is bitwise identical to the monolithic fused-dot sweep.
-    pub fn apply_interior_dot<T: Scalar, D: Device, F, const NR: usize>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        u: &Field<T>,
-        w: &mut Field<T>,
-        slots: &mut [T],
-        terms: &F,
-    ) where
-        F: Fn(usize, T) -> [T; NR] + Sync,
-    {
-        if let Some(map) = RowMap::halo_deep_interior(self.local_extent()) {
-            let slot_map = self.slot_map_for::<NR>(1, 1, map);
-            self.apply_on_map_dot(dev, info, map, slot_map, false, u, w, slots, terms);
-        }
-    }
-
-    /// Shell half of the split fused `apply + NR-way dot` sweep (pair of
-    /// [`Laplacian::apply_interior_dot`]). Requires current ghosts.
-    /// Every slot row is written: face pieces overwrite their rows, and
-    /// the x-face pieces add the row edges onto the deep sweep's
-    /// partials — reproducing the canonical edge-last row fold, so the
-    /// composition is bitwise identical to the monolithic sweep.
-    pub fn apply_shell_dot<T: Scalar, D: Device, F, const NR: usize>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        u: &Field<T>,
-        w: &mut Field<T>,
-        slots: &mut [T],
-        terms: &F,
-    ) -> PendingDotFold<NR>
-    where
-        F: Fn(usize, T) -> [T; NR] + Sync,
-    {
-        let e = self.local_extent();
-        let [_, ny, nz] = self.grid.local_n;
-        let pieces = RowMap::halo_shell(e);
-        if RowMap::halo_deep_interior(e).is_none() {
-            // the shell is the whole interior: one Set piece per map
-            for map in pieces {
-                let slot_map = self.slot_map_for::<NR>(0, 0, map);
-                self.apply_on_map_dot(dev, info, map, slot_map, false, u, w, slots, terms);
-            }
-        } else {
-            // halo_shell order: z-lo, z-hi, y-lo, y-hi, x-lo, x-hi.
-            // First interior row (j0, k0) of each piece, and whether the
-            // piece accumulates onto deep-sweep partials (x faces only).
-            let desc: [(usize, usize, bool); 6] = [
-                (0, 0, false),
-                (0, nz - 1, false),
-                (0, 1, false),
-                (ny - 1, 1, false),
-                (1, 1, true),
-                (1, 1, true),
-            ];
-            for (map, (j0, k0, add)) in pieces.into_iter().zip(desc) {
-                let slot_map = self.slot_map_for::<NR>(j0, k0, map);
-                self.apply_on_map_dot(dev, info, map, slot_map, add, u, w, slots, terms);
-            }
-        }
-        PendingDotFold { ny, nz }
-    }
-}
-
-/// Obligation to fold the per-row dot partials deposited by a split
-/// fused-dot sweep ([`Laplacian::apply_interior_dot`] +
-/// [`Laplacian::apply_shell_dot`]) into the `NR` local dot values.
-///
-/// The fold launches one reduction over the same `(ny, nz)` row set as
-/// the monolithic fused sweep, so the back-end's partial merge is
-/// identical and the folded dots are bitwise equal to the monolithic
-/// ones.
-#[must_use = "slot partials must be folded to complete the fused dot"]
-#[derive(Debug)]
-pub struct PendingDotFold<const NR: usize> {
-    ny: usize,
-    nz: usize,
-}
-
-impl<const NR: usize> PendingDotFold<NR> {
-    /// Reduce the slot buffer to the `NR` local dot values.
-    pub fn fold<T: Scalar, D: Device>(self, dev: &D, info: KernelInfo, slots: &[T]) -> [T; NR] {
-        let (ny, nz) = (self.ny, self.nz);
-        dev.launch_reduce(info, ny, nz, |j, k| {
-            let off = (j + ny * k) * NR;
-            std::array::from_fn(|q| slots[off + q])
-        })
     }
 }
 
@@ -1013,87 +836,6 @@ mod tests {
                 w_split.interior_to_host(&grid),
                 "split sweep must be bitwise equal for {n:?}"
             );
-        }
-    }
-
-    #[test]
-    fn split_fused_dot_bitwise_matches_monolithic() {
-        for n in [[5usize, 4, 6], [3, 3, 3], [2, 5, 4], [1, 1, 7]] {
-            let grid = single_rank_grid(n, [[BcKind::Dirichlet; 2]; 3]);
-            let dev = Serial::new(Recorder::disabled());
-            let lap = Laplacian::new(&grid);
-            let x = rng_values(grid.global.unknowns(), 17);
-            let gv = rng_values(grid.global.unknowns(), 18);
-            let mut u = Field::from_interior(&dev, &grid, &x);
-            apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
-            let g = Field::from_interior(&dev, &grid, &gv);
-            let mut w_full = Field::zeros(&dev, &grid);
-            let dot_full = lap.apply_fused_dot(&dev, INFO_APPLY, &u, &mut w_full, &g);
-            let mut w_split = Field::zeros(&dev, &grid);
-            let mut slots = vec![0.0f64; lap.slot_len(1)];
-            let gs_field = g.as_slice().to_vec();
-            let terms = |c: usize, v: f64| [gs_field[c] * v];
-            lap.apply_interior_dot(&dev, INFO_APPLY, &u, &mut w_split, &mut slots, &terms);
-            let pending =
-                lap.apply_shell_dot(&dev, INFO_APPLY, &u, &mut w_split, &mut slots, &terms);
-            let [dot_split] = pending.fold(&dev, INFO_APPLY, &slots);
-            assert_eq!(
-                dot_full.to_bits(),
-                dot_split.to_bits(),
-                "split dot must be bitwise equal for {n:?}"
-            );
-            assert_eq!(
-                w_full.interior_to_host(&grid),
-                w_split.interior_to_host(&grid),
-            );
-        }
-    }
-
-    #[test]
-    fn split_fused_dot3_bitwise_matches_monolithic_across_backends() {
-        let grid = single_rank_grid([5, 4, 6], [[BcKind::Dirichlet; 2]; 3]);
-        let x = rng_values(grid.global.unknowns(), 21);
-        let rv = rng_values(grid.global.unknowns(), 22);
-        let gv = rng_values(grid.global.unknowns(), 23);
-        fn go<D: Device>(
-            dev: &D,
-            grid: &BlockGrid,
-            x: &[f64],
-            rv: &[f64],
-            gv: &[f64],
-        ) -> ([f64; 3], [f64; 3]) {
-            let lap = Laplacian::new(grid);
-            let mut u = Field::from_interior(dev, grid, x);
-            apply_physical_bcs(grid, &mut u, &Recorder::disabled(), false);
-            let r = Field::from_interior(dev, grid, rv);
-            let g = Field::from_interior(dev, grid, gv);
-            let mut t_full = Field::zeros(dev, grid);
-            let (a, b, c) = lap.apply_fused_dot3(dev, INFO_APPLY, &u, &mut t_full, &r, &g);
-            let mut t_split = Field::zeros(dev, grid);
-            let mut slots = vec![0.0f64; lap.slot_len(3)];
-            let rs = r.as_slice().to_vec();
-            let gs = g.as_slice().to_vec();
-            let terms = |cc: usize, v: f64| [v * rs[cc], v * v, gs[cc] * v];
-            lap.apply_interior_dot(dev, INFO_APPLY, &u, &mut t_split, &mut slots, &terms);
-            let pending =
-                lap.apply_shell_dot(dev, INFO_APPLY, &u, &mut t_split, &mut slots, &terms);
-            let split = pending.fold(dev, INFO_APPLY, &slots);
-            for (f, s) in t_full.as_slice().iter().zip(t_split.as_slice()) {
-                assert_eq!(f.to_bits(), s.to_bits());
-            }
-            ([a, b, c], split)
-        }
-        let serial = Serial::new(Recorder::disabled());
-        let threads = Threads::new(3, Recorder::disabled());
-        let gpu = SimGpu::new(GpuSimParams::mi250x(), Recorder::disabled());
-        for (mono, split) in [
-            go(&serial, &grid, &x, &rv, &gv),
-            go(&threads, &grid, &x, &rv, &gv),
-            go(&gpu, &grid, &x, &rv, &gv),
-        ] {
-            for q in 0..3 {
-                assert_eq!(mono[q].to_bits(), split[q].to_bits());
-            }
         }
     }
 

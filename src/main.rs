@@ -10,7 +10,7 @@
 //!     --device mi250x --machines --trace --roofline
 //! ```
 
-use bench::{first_iteration_profile, run_once, Args, RunConfig};
+use bench::{first_iteration_profile, run_once, Args, Driver, RunConfig};
 use comm::ReduceOrder;
 use krylov::SolverKind;
 use perfmodel::{build_timeline, render_roofline, render_timeline, replay, roofline, MachineModel};
@@ -31,13 +31,14 @@ USAGE: poisson-bicgstab-repro [OPTIONS]
   --max-iters N    outer iteration cap                       [50000]
   --ci-iters N     Chebyshev sweeps per application          [24]
   --min-factor X   lambda_min rescaling (Bergamaschi)        [10]
-  --no-overlap     synchronous halo exchanges (overlap is on by default)
+  --no-overlap     synchronous halo exchanges in the Chebyshev
+                   preconditioner (overlap is on by default)
   --no-overlap-reduce  blocking reductions instead of the split-phase
                    batched schedule (overlap is on by default)
-  --no-fuse        unfused kernel schedule, 11 full-grid sweeps per
-                   iteration (the fused 5-sweep schedule is the default)
   --arrival        arrival-order (nondeterministic) reductions
-  --early-exit     enable the Alg. 1 mid-loop convergence check
+  --early-exit     run the unfused reference schedule (11 full-grid
+                   sweeps per iteration) with the Alg. 1 mid-loop
+                   convergence check
   --true-res K     recompute the true residual every K iterations
   --restarts N     shadow-residual restarts on breakdown     [0]
   --history        print the residual history
@@ -181,15 +182,22 @@ fn main() {
     cfg.opts.eig_min_factor = args.get("min-factor", 10.0);
     cfg.opts.overlap_halo = !args.flag("no-overlap");
     cfg.opts.overlap_reduce = !args.flag("no-overlap-reduce");
-    cfg.opts.fuse_kernels = !args.flag("no-fuse");
     cfg.order = if args.flag("arrival") {
         ReduceOrder::Arrival
     } else {
         ReduceOrder::RankOrder
     };
-    cfg.params_extra.early_exit_check = args.flag("early-exit");
     cfg.params_extra.true_residual_every = args.get("true-res", 0);
     cfg.params_extra.max_restarts = args.get("restarts", 0);
+    if args.flag("early-exit") {
+        if cfg.params_extra.true_residual_every > 0 || cfg.params_extra.max_restarts > 0 {
+            eprintln!(
+                "--early-exit runs the reference schedule, which has no --true-res or --restarts"
+            );
+            usage();
+        }
+        cfg.params_extra.driver = Driver::Reference { early_exit: true };
+    }
     let need_events = args.flag("machines") || args.flag("trace") || args.flag("roofline");
     cfg.record_events = need_events;
 
