@@ -199,16 +199,16 @@ impl<S: Scalar> ChebyshevIteration<S> {
             apply_physical_bcs(&ctx.grid, b, &ctx.recorder, false);
             crate::kernels::scale(&ctx.dev, info_scale, &ctx.grid, &mut self.z, b, inv_theta);
             ctx.lap
-                .apply_combine_interior(&ctx.dev, info_ci1, b, &mut self.y, ca, &[(b, c1)]);
+                .apply_combine_interior(&ctx.dev, info_ci1, b, &mut self.y, ca, [(b, c1)]);
             ctx.halo.finish(&ctx.dev, &ctx.comm, pending, b);
             ctx.lap
-                .apply_combine_shell(&ctx.dev, info_ci1, b, &mut self.y, ca, &[(b, c1)]);
+                .apply_combine_shell(&ctx.dev, info_ci1, b, &mut self.y, ca, [(b, c1)]);
         } else {
             // MPI1 + KernelNeumannBCs on b
             refresh_ghosts(self.mode, ctx, b);
             crate::kernels::scale(&ctx.dev, info_scale, &ctx.grid, &mut self.z, b, inv_theta);
             ctx.lap
-                .apply_combine(&ctx.dev, info_ci1, b, &mut self.y, ca, &[(b, c1)]);
+                .apply_combine(&ctx.dev, info_ci1, b, &mut self.y, ca, [(b, c1)]);
         }
 
         for _i in 2..=self.iterations {
@@ -231,7 +231,7 @@ impl<S: Scalar> ChebyshevIteration<S> {
                     y_ref,
                     w_mut,
                     ca,
-                    &[(y_ref, cy), (b, cb), (z_ref, cz)],
+                    [(y_ref, cy), (b, cb), (z_ref, cz)],
                 );
                 ctx.halo.finish(&ctx.dev, &ctx.comm, pending, &mut self.y);
                 let (y_ref, z_ref, w_mut) = (&self.y, &self.z, &mut self.w);
@@ -241,7 +241,7 @@ impl<S: Scalar> ChebyshevIteration<S> {
                     y_ref,
                     w_mut,
                     ca,
-                    &[(y_ref, cy), (b, cb), (z_ref, cz)],
+                    [(y_ref, cy), (b, cb), (z_ref, cz)],
                 );
             } else {
                 // MPI2 + KernelNeumannBCs on y
@@ -254,7 +254,7 @@ impl<S: Scalar> ChebyshevIteration<S> {
                     y_ref,
                     w_mut,
                     ca,
-                    &[(y_ref, cy), (b, cb), (z_ref, cz)],
+                    [(y_ref, cy), (b, cb), (z_ref, cz)],
                 );
             }
             // pointer rotation: z ← y, y ← w (w's old storage becomes scratch)

@@ -82,9 +82,9 @@ pub fn axpy_inplace<T: Scalar, D: Device>(
     let base0 = map.base;
     let (sy, sz) = (map.sy, map.sz);
     dev.launch_rows(info, map, y.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v += a * xs[b + i];
+        let (b, n) = (base0 + j * sy + k * sz, row.len());
+        for (v, &xv) in row.iter_mut().zip(&xs[b..b + n]) {
+            *v += a * xv;
         }
     });
 }
@@ -107,9 +107,10 @@ pub fn axpy2_inplace<T: Scalar, D: Device>(
     let base0 = map.base;
     let (sy, sz) = (map.sy, map.sz);
     dev.launch_rows(info, map, y.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v += a1 * x1s[b + i] + a2 * x2s[b + i];
+        let (b, n) = (base0 + j * sy + k * sz, row.len());
+        let (x1, x2) = (&x1s[b..b + n], &x2s[b..b + n]);
+        for ((v, &x1v), &x2v) in row.iter_mut().zip(x1).zip(x2) {
+            *v += a1 * x1v + a2 * x2v;
         }
     });
 }
@@ -137,10 +138,11 @@ pub fn axpy2_chained_inplace<T: Scalar, D: Device>(
     let base0 = map.base;
     let (sy, sz) = (map.sy, map.sz);
     dev.launch_rows(info, map, y.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            let v1 = *v + a1 * x1s[b + i];
-            *v = v1 + a2 * x2s[b + i];
+        let (b, n) = (base0 + j * sy + k * sz, row.len());
+        let (x1, x2) = (&x1s[b..b + n], &x2s[b..b + n]);
+        for ((v, &x1v), &x2v) in row.iter_mut().zip(x1).zip(x2) {
+            let v1 = *v + a1 * x1v;
+            *v = v1 + a2 * x2v;
         }
     });
 }
@@ -166,12 +168,13 @@ pub fn axpy_dot<T: Scalar, D: Device>(
     let base0 = map.base;
     let (sy, sz) = (map.sy, map.sz);
     let [s] = dev.launch_rows_reduce(info, map, y.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v += a * xs[b + i];
+        let (b, n) = (base0 + j * sy + k * sz, row.len());
+        for (v, &xv) in row.iter_mut().zip(&xs[b..b + n]) {
+            *v += a * xv;
         }
+        let g = &gs[b..b + n];
         let mid = row_has_deep_middle(nx, ny, nz, j, k);
-        [fold_row_edge_last(row.len(), mid, |i| gs[b + i] * row[i])]
+        [fold_row_edge_last(n, mid, |i| g[i] * row[i])]
     });
     s
 }
@@ -196,12 +199,12 @@ pub fn norm2_axpy<T: Scalar, D: Device>(
     let base0 = map.base;
     let (sy, sz) = (map.sy, map.sz);
     let [s] = dev.launch_rows_reduce(info, map, out.as_mut_slice(), |j, k, row| {
-        let b0 = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = bs[b0 + i] - wsl[b0 + i];
+        let (b0, n) = (base0 + j * sy + k * sz, row.len());
+        for ((v, &bv), &wv) in row.iter_mut().zip(&bs[b0..b0 + n]).zip(&wsl[b0..b0 + n]) {
+            *v = bv - wv;
         }
         let mid = row_has_deep_middle(nx, ny, nz, j, k);
-        [fold_row_edge_last(row.len(), mid, |i| row[i] * row[i])]
+        [fold_row_edge_last(n, mid, |i| row[i] * row[i])]
     });
     s
 }
@@ -236,13 +239,14 @@ pub fn residual_p_update_fused<T: Scalar, D: Device>(
         map,
         p.as_mut_slice(),
         |j, k, row_r, row_p| {
-            let b = base0 + j * sy + k * sz;
+            let (b, n) = (base0 + j * sy + k * sz, row_r.len());
+            let (t, w) = (&ts[b..b + n], &wsl[b..b + n]);
             let mut acc = T::ZERO;
-            for i in 0..row_r.len() {
-                let rv = row_r[i] - omega * ts[b + i];
-                row_r[i] = rv;
+            for (((r, p), &tv), &wv) in row_r.iter_mut().zip(&mut row_p[..n]).zip(t).zip(w) {
+                let rv = *r - omega * tv;
+                *r = rv;
                 acc += rv * rv;
-                row_p[i] = rv + beta * (row_p[i] - omega * wsl[b + i]);
+                *p = rv + beta * (*p - omega * wv);
             }
             [acc]
         },
@@ -267,13 +271,14 @@ pub fn residual_update_fused<T: Scalar, D: Device>(
     let base0 = map.base;
     let (sy, sz) = (map.sy, map.sz);
     let [p1, p2] = dev.launch_rows_reduce(info, map, r.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
+        let (b, n) = (base0 + j * sy + k * sz, row.len());
+        let (t, r0) = (&ts[b..b + n], &r0s[b..b + n]);
         let mut s1 = T::ZERO;
         let mut s2 = T::ZERO;
-        for (i, v) in row.iter_mut().enumerate() {
-            let rv = *v - omega * ts[b + i];
+        for ((v, &tv), &r0v) in row.iter_mut().zip(t).zip(r0) {
+            let rv = *v - omega * tv;
             *v = rv;
-            s1 += r0s[b + i] * rv;
+            s1 += r0v * rv;
             s2 += rv * rv;
         }
         [s1, s2]
@@ -300,9 +305,10 @@ pub fn axpy3_inplace<T: Scalar, D: Device>(
     let base0 = map.base;
     let (sy, sz) = (map.sy, map.sz);
     dev.launch_rows(info, map, p.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = rs[b + i] + beta * (*v - omega * ws[b + i]);
+        let (b, n) = (base0 + j * sy + k * sz, row.len());
+        let (r, w) = (&rs[b..b + n], &ws[b..b + n]);
+        for ((v, &rv), &wv) in row.iter_mut().zip(r).zip(w) {
+            *v = rv + beta * (*v - omega * wv);
         }
     });
 }
@@ -330,13 +336,13 @@ pub fn norm2_axpy_batch<T: Scalar, D: Device>(
     let base0 = map.base;
     let (sy, sz) = (map.sy, map.sz);
     dev.launch_lanes_reduce(info, map, outs, accs, |s, j, k, row| {
-        let b0 = base0 + j * sy + k * sz;
-        let (bsl, wsl) = (bs[s], ws[s]);
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = bsl[b0 + i] - wsl[b0 + i];
+        let (b0, n) = (base0 + j * sy + k * sz, row.len());
+        let (brow, wrow) = (&bs[s][b0..b0 + n], &ws[s][b0..b0 + n]);
+        for ((v, &bv), &wv) in row.iter_mut().zip(brow).zip(wrow) {
+            *v = bv - wv;
         }
         let mid = row_has_deep_middle(nx, ny, nz, j, k);
-        [fold_row_edge_last(row.len(), mid, |i| row[i] * row[i])]
+        [fold_row_edge_last(n, mid, |i| row[i] * row[i])]
     });
 }
 
@@ -363,13 +369,13 @@ pub fn axpy_dot_batch<T: Scalar, D: Device>(
     let base0 = map.base;
     let (sy, sz) = (map.sy, map.sz);
     dev.launch_lanes_reduce(info, map, ys, accs, |s, j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        let (xsl, gsl, a) = (xs[s], gs[s], coefs[s]);
-        for (i, v) in row.iter_mut().enumerate() {
-            *v += a * xsl[b + i];
+        let (b, n, a) = (base0 + j * sy + k * sz, row.len(), coefs[s]);
+        for (v, &xv) in row.iter_mut().zip(&xs[s][b..b + n]) {
+            *v += a * xv;
         }
+        let g = &gs[s][b..b + n];
         let mid = row_has_deep_middle(nx, ny, nz, j, k);
-        [fold_row_edge_last(row.len(), mid, |i| gsl[b + i] * row[i])]
+        [fold_row_edge_last(n, mid, |i| g[i] * row[i])]
     });
 }
 
@@ -396,11 +402,11 @@ pub fn axpy2_chained_batch<T: Scalar, D: Device>(
     let base0 = map.base;
     let (sy, sz) = (map.sy, map.sz);
     dev.launch_lanes(info, map, ys, |s, j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        let (x1, x2, a1, a2) = (x1s[s], x2s[s], a1s[s], a2s[s]);
-        for (i, v) in row.iter_mut().enumerate() {
-            let v1 = *v + a1 * x1[b + i];
-            *v = v1 + a2 * x2[b + i];
+        let (b, n, a1, a2) = (base0 + j * sy + k * sz, row.len(), a1s[s], a2s[s]);
+        let (x1, x2) = (&x1s[s][b..b + n], &x2s[s][b..b + n]);
+        for ((v, &x1v), &x2v) in row.iter_mut().zip(x1).zip(x2) {
+            let v1 = *v + a1 * x1v;
+            *v = v1 + a2 * x2v;
         }
     });
 }
@@ -431,14 +437,15 @@ pub fn residual_p_update_fused_batch<T: Scalar, D: Device>(
     let base0 = map.base;
     let (sy, sz) = (map.sy, map.sz);
     dev.launch_lanes2_reduce(info, map, rs, map, ps, accs, |s, j, k, row_r, row_p| {
-        let b = base0 + j * sy + k * sz;
-        let (tsl, wsl, omega, beta) = (ts[s], ws[s], omegas[s], betas[s]);
+        let (b, n) = (base0 + j * sy + k * sz, row_r.len());
+        let (omega, beta) = (omegas[s], betas[s]);
+        let (t, w) = (&ts[s][b..b + n], &ws[s][b..b + n]);
         let mut acc = T::ZERO;
-        for i in 0..row_r.len() {
-            let rv = row_r[i] - omega * tsl[b + i];
-            row_r[i] = rv;
+        for (((r, p), &tv), &wv) in row_r.iter_mut().zip(&mut row_p[..n]).zip(t).zip(w) {
+            let rv = *r - omega * tv;
+            *r = rv;
             acc += rv * rv;
-            row_p[i] = rv + beta * (row_p[i] - omega * wsl[b + i]);
+            *p = rv + beta * (*p - omega * wv);
         }
         [acc]
     });
@@ -464,10 +471,9 @@ pub fn dot<T: Scalar, D: Device>(
     let (len, sy, sz) = (map.len, map.sy, map.sz);
     let [s] = dev.launch_reduce(info.per_row(len), map.ny, map.nz, |j, k| {
         let off = base0 + j * sy + k * sz;
+        let (a, b) = (&asl[off..off + len], &bsl[off..off + len]);
         let mid = row_has_deep_middle(nx, ny, nz, j, k);
-        [fold_row_edge_last(len, mid, |i| {
-            asl[off + i] * bsl[off + i]
-        })]
+        [fold_row_edge_last(len, mid, |i| a[i] * b[i])]
     });
     s
 }
@@ -493,13 +499,11 @@ pub fn dot2<T: Scalar, D: Device>(
     let (len, sy, sz) = (map.len, map.sy, map.sz);
     let [ab, aa] = dev.launch_reduce(info.per_row(len), map.ny, map.nz, |j, k| {
         let off = base0 + j * sy + k * sz;
+        let (a, b) = (&asl[off..off + len], &bsl[off..off + len]);
         let mid = row_has_deep_middle(nx, ny, nz, j, k);
         [
-            fold_row_edge_last(len, mid, |i| asl[off + i] * bsl[off + i]),
-            fold_row_edge_last(len, mid, |i| {
-                let av = asl[off + i];
-                av * av
-            }),
+            fold_row_edge_last(len, mid, |i| a[i] * b[i]),
+            fold_row_edge_last(len, mid, |i| a[i] * a[i]),
         ]
     });
     (ab, aa)
@@ -522,8 +526,8 @@ pub fn diff_norm2<T: Scalar, D: Device>(
     let [s] = dev.launch_reduce(info.per_row(len), map.ny, map.nz, |j, k| {
         let off = base0 + j * sy + k * sz;
         let mut acc = T::ZERO;
-        for i in 0..len {
-            let d = asl[off + i] - bsl[off + i];
+        for (&av, &bv) in asl[off..off + len].iter().zip(&bsl[off..off + len]) {
+            let d = av - bv;
             acc += d * d;
         }
         [acc]
@@ -557,9 +561,9 @@ pub fn cast<S: Scalar, T: Scalar, D: Device>(
     let base0 = map.base;
     let (sy, sz) = (map.sy, map.sz);
     dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = S::from_f64(ss[b + i].to_f64());
+        let (b, n) = (base0 + j * sy + k * sz, row.len());
+        for (v, &x) in row.iter_mut().zip(&ss[b..b + n]) {
+            *v = S::from_f64(x.to_f64());
         }
     });
 }
@@ -578,9 +582,9 @@ pub fn scale<T: Scalar, D: Device>(
     let base0 = map.base;
     let (sy, sz) = (map.sy, map.sz);
     dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = factor * ss[b + i];
+        let (b, n) = (base0 + j * sy + k * sz, row.len());
+        for (v, &x) in row.iter_mut().zip(&ss[b..b + n]) {
+            *v = factor * x;
         }
     });
 }

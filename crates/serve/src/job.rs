@@ -16,6 +16,9 @@ pub enum SubmitError {
     Overloaded,
     /// The service is shutting down and admits nothing new.
     ShuttingDown,
+    /// The request itself can never run (e.g. a Chebyshev preconditioner
+    /// with zero sweeps); resubmitting it unchanged fails the same way.
+    InvalidRequest(&'static str),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -23,6 +26,7 @@ impl std::fmt::Display for SubmitError {
         match self {
             Self::Overloaded => write!(f, "service overloaded: admission queue full"),
             Self::ShuttingDown => write!(f, "service shutting down"),
+            Self::InvalidRequest(why) => write!(f, "invalid request: {why}"),
         }
     }
 }

@@ -5,6 +5,8 @@ use std::time::Duration;
 use krylov::{SolverKind, SolverOptions};
 use poisson::PoissonProblem;
 
+use crate::job::SubmitError;
+
 /// Scheduling class of a request; higher classes are always drained
 /// first, FIFO within a class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -89,5 +91,19 @@ impl SolveRequest {
     /// Total ranks of the decomposition.
     pub fn ranks(&self) -> usize {
         self.decomp.iter().product()
+    }
+
+    /// Refuse, before admission, a configuration the solver cannot run.
+    pub(crate) fn validate(&self) -> Result<(), SubmitError> {
+        let chebyshev = matches!(
+            self.kind,
+            SolverKind::BiCgsBjCi | SolverKind::BiCgsGCi | SolverKind::BiCgsGNoCommCi
+        );
+        if chebyshev && self.opts.ci_iterations == 0 {
+            return Err(SubmitError::InvalidRequest(
+                "a Chebyshev preconditioner needs ci_iterations >= 1",
+            ));
+        }
+        Ok(())
     }
 }

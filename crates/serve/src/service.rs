@@ -244,8 +244,13 @@ impl SolveService {
 
     /// Submit one request. Never blocks: a full queue answers
     /// `Err(Overloaded)` immediately (admission control), leaving the
-    /// caller to shed or retry.
+    /// caller to shed or retry, and a request that can never run answers
+    /// `Err(InvalidRequest)` before it reaches a worker.
     pub fn submit(&self, request: SolveRequest) -> Result<JobHandle, SubmitError> {
+        if let Err(e) = request.validate() {
+            self.inner.stats.bump(&self.inner.stats.rejected);
+            return Err(e);
+        }
         let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst) + 1;
         let job = Arc::new(JobShared::new(id, request));
         match self.inner.queue.push(job.clone()) {

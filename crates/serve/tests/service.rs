@@ -354,6 +354,34 @@ fn too_many_subdomains_are_refused_cleanly_without_a_quarantine() {
 }
 
 #[test]
+fn zero_chebyshev_sweeps_are_refused_at_submit_without_a_panic() {
+    let svc = single_worker(8);
+    for kind in [
+        SolverKind::BiCgsBjCi,
+        SolverKind::BiCgsGCi,
+        SolverKind::BiCgsGNoCommCi,
+    ] {
+        let mut req = quick(unit_cube_dirichlet(7));
+        req.kind = kind;
+        req.opts.ci_iterations = 0;
+        assert!(
+            matches!(svc.submit(req), Err(SubmitError::InvalidRequest(_))),
+            "{kind:?} with zero sweeps must be refused at submit"
+        );
+    }
+    // The flag is inert without a Chebyshev preconditioner.
+    let mut plain = quick(unit_cube_dirichlet(7));
+    plain.opts.ci_iterations = 0;
+    let good = svc.submit(plain).unwrap().wait();
+    assert!(good.output().is_some_and(|o| o.outcome.converged));
+    let stats = svc.stats();
+    assert_eq!(stats.rejected, 3);
+    assert_eq!(stats.submitted, 1);
+    assert_eq!(stats.panicked, 0);
+    assert_eq!(stats.quarantined, 0);
+}
+
+#[test]
 fn shutdown_sheds_queued_jobs_and_finishes_running_ones() {
     let gate = Arc::new(AtomicBool::new(false));
     let svc = single_worker(0);

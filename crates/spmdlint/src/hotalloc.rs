@@ -54,6 +54,7 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/krylov/src/kernels.rs", "diff_norm2"),
     ("crates/krylov/src/kernels.rs", "norm2_local"),
     ("crates/krylov/src/kernels.rs", "scale"),
+    ("crates/krylov/src/kernels.rs", "cast"),
     // Batched (lane-strided) kernels of the lane driver.
     ("crates/krylov/src/kernels.rs", "norm2_axpy_batch"),
     ("crates/krylov/src/kernels.rs", "axpy_dot_batch"),
@@ -65,10 +66,14 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "apply_fused_dot_batch"),
     ("crates/stencil/src/laplacian.rs", "apply_fused_dot3_batch"),
     ("crates/blockgrid/src/halo.rs", "exchange_batch"),
-    // Chebyshev preconditioner inner loop + stencil combine.
+    // Chebyshev preconditioner inner loop (`solve` wraps `sweep`; the
+    // mixed-precision `solve` casts around it) + stencil sweeps.
     ("crates/krylov/src/cheby.rs", "solve"),
+    ("crates/krylov/src/cheby.rs", "sweep"),
+    ("crates/krylov/src/mixed.rs", "solve"),
     ("crates/krylov/src/cheby.rs", "refresh_ghosts"),
     ("crates/stencil/src/laplacian.rs", "apply"),
+    ("crates/stencil/src/laplacian.rs", "apply_on_map"),
     ("crates/stencil/src/laplacian.rs", "apply_interior"),
     ("crates/stencil/src/laplacian.rs", "apply_shell"),
     ("crates/stencil/src/laplacian.rs", "apply_fused_dot"),
@@ -78,6 +83,7 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "apply_combine_interior"),
     ("crates/stencil/src/laplacian.rs", "apply_combine_shell"),
     ("crates/stencil/src/laplacian.rs", "combine_on_map"),
+    ("crates/stencil/src/laplacian.rs", "stencil_row"),
     // Halo pack/unpack and the split-phase exchange path.
     ("crates/blockgrid/src/halo.rs", "pack_face"),
     ("crates/blockgrid/src/halo.rs", "unpack_face"),

@@ -164,6 +164,36 @@ fn hot_path_allocation_is_caught_spmd003() {
 }
 
 #[test]
+fn chebyshev_sweep_allocation_is_caught_spmd003() {
+    // The Chebyshev loop body lives in `sweep` (`solve` only wraps it),
+    // so an allocation there must be a finding too.
+    let rel = "crates/krylov/src/cheby.rs";
+    let text = load(rel);
+    let sig = line_of(
+        &text,
+        "pub(crate) fn sweep<T: Scalar, D: Device, C: Communicator<T>>(",
+    );
+    let open = text
+        .lines()
+        .enumerate()
+        .skip(sig as usize - 1)
+        .find(|(_, l)| l.trim_end().ends_with('{'))
+        .map(|(i, _)| i + 1)
+        .expect("sweep opening brace");
+    let inject = (open + 1) as u32;
+    let mut lines: Vec<String> = text.lines().map(|s| s.to_string()).collect();
+    lines[open] = format!("        let scratch: Vec<S> = Vec::new(); {}", lines[open]);
+    let mutant = lines.join("\n");
+    let found = findings_with(rel, &mutant, "SPMD003");
+    assert!(
+        found
+            .iter()
+            .any(|(l, m)| *l == inject && m.contains("Vec::new") && m.contains("`sweep`")),
+        "expected SPMD003 in sweep at injected line {inject}, got {found:?}"
+    );
+}
+
+#[test]
 fn fresh_unwrap_in_serve_is_caught_spmd004() {
     let rel = "crates/serve/src/service.rs";
     let text = load(rel);

@@ -118,18 +118,13 @@ impl Laplacian {
         u: &Field<T>,
         w: &mut Field<T>,
     ) {
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let (c, sy, sz) = self.coeffs::<T>();
         let us = u.as_slice();
         let base0 = map.base;
-        let two = T::from_f64(2.0);
         dev.launch_rows(info, map, w.as_mut_slice(), |j, k, row| {
-            let b = base0 + j * sy + k * sz;
+            let au = stencil_row(us, base0 + j * sy + k * sz, row.len(), sy, sz, c);
             for (i, out) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = us[c];
-                *out = cx * (two * uc - us[c - 1] - us[c + 1])
-                    + cy * (two * uc - us[c - sy] - us[c + sy])
-                    + cz * (two * uc - us[c - sz] - us[c + sz]);
+                *out = au(i);
             }
         });
     }
@@ -185,57 +180,55 @@ impl Laplacian {
         w: &mut Field<T>,
         g: &Field<T>,
     ) -> T {
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let (c, sy, sz) = self.coeffs::<T>();
         let map = self.grid.interior_map();
         let [nx, ny, nz] = self.grid.local_n;
         let us = u.as_slice();
         let gs = g.as_slice();
         let base0 = map.base;
-        let two = T::from_f64(2.0);
         let [dot] = dev.launch_rows_reduce(info, map, w.as_mut_slice(), |j, k, row| {
-            let b = base0 + j * sy + k * sz;
+            let (b, n) = (base0 + j * sy + k * sz, row.len());
+            let au = stencil_row(us, b, n, sy, sz, c);
             for (i, out) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = us[c];
-                *out = cx * (two * uc - us[c - 1] - us[c + 1])
-                    + cy * (two * uc - us[c - sy] - us[c + sy])
-                    + cz * (two * uc - us[c - sz] - us[c + sz]);
+                *out = au(i);
             }
+            let g = &gs[b..][..n];
             let mid = row_has_deep_middle(nx, ny, nz, j, k);
-            [fold_row_edge_last(row.len(), mid, |i| gs[b + i] * row[i])]
+            [fold_row_edge_last(n, mid, |i| g[i] * row[i])]
         });
         dot
     }
 
     /// Fused affine stencil sweep: `out = ca * (A u) + sum_i c_i * f_i`
-    /// over the interior, with up to three extra fields.
+    /// over the interior, with up to three extra fields (`N <= 3`,
+    /// checked at compile time).
     ///
     /// This is the shape of the Chebyshev kernels of Algorithm 4:
     /// `KernelCI1` is `y = c1*b + ca*(A b)` and `KernelCI2` is
     /// `w = c1*y + c2*b + c3*z + ca*(A y)` — one stencil sweep each, no
     /// reductions (the iteration is reduction-free by construction).
-    pub fn apply_combine<T: Scalar, D: Device>(
+    pub fn apply_combine<T: Scalar, D: Device, const N: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
         u: &Field<T>,
         out: &mut Field<T>,
         ca: T,
-        terms: &[(&Field<T>, T)],
+        terms: [(&Field<T>, T); N],
     ) {
         self.combine_on_map(dev, info, self.grid.interior_map(), u, out, ca, terms);
     }
 
     /// [`Laplacian::apply_combine`] over the deep interior only (see
     /// [`Laplacian::apply_interior`] for the overlap contract).
-    pub fn apply_combine_interior<T: Scalar, D: Device>(
+    pub fn apply_combine_interior<T: Scalar, D: Device, const N: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
         u: &Field<T>,
         out: &mut Field<T>,
         ca: T,
-        terms: &[(&Field<T>, T)],
+        terms: [(&Field<T>, T); N],
     ) {
         if let Some(map) = RowMap::halo_deep_interior(self.local_extent()) {
             self.combine_on_map(dev, info, map, u, out, ca, terms);
@@ -244,14 +237,14 @@ impl Laplacian {
 
     /// [`Laplacian::apply_combine`] over the ghost-adjacent shell (see
     /// [`Laplacian::apply_shell`] for the overlap contract).
-    pub fn apply_combine_shell<T: Scalar, D: Device>(
+    pub fn apply_combine_shell<T: Scalar, D: Device, const N: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
         u: &Field<T>,
         out: &mut Field<T>,
         ca: T,
-        terms: &[(&Field<T>, T)],
+        terms: [(&Field<T>, T); N],
     ) {
         for map in RowMap::halo_shell(self.local_extent()) {
             self.combine_on_map(dev, info, map, u, out, ca, terms);
@@ -259,7 +252,7 @@ impl Laplacian {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn combine_on_map<T: Scalar, D: Device>(
+    fn combine_on_map<T: Scalar, D: Device, const N: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
@@ -267,37 +260,25 @@ impl Laplacian {
         u: &Field<T>,
         out: &mut Field<T>,
         ca: T,
-        terms: &[(&Field<T>, T)],
+        terms: [(&Field<T>, T); N],
     ) {
-        assert!(
-            terms.len() <= 3,
-            "apply_combine supports at most 3 extra terms"
-        );
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        const { assert!(N <= 3, "apply_combine supports at most 3 extra terms") };
+        let (c, sy, sz) = self.coeffs::<T>();
         let us = u.as_slice();
-        // At most 3 terms (asserted above): resolve the slices into fixed
-        // stack storage — this runs per shell piece in the preconditioner
-        // hot loop, where a heap `collect` would violate the solver's
-        // steady-state zero-allocation guarantee.
-        let empty: &[T] = &[];
-        let mut resolved = [(empty, T::ZERO); 3];
-        for (slot, (f, c)) in resolved.iter_mut().zip(terms) {
-            *slot = (f.as_slice(), *c);
-        }
-        let term_slices = &resolved[..terms.len()];
+        // The term slices live in a stack array sized at compile time: this
+        // runs per shell piece in the preconditioner hot loop, where a heap
+        // `collect` would break the solver's steady-state zero-allocation
+        // guarantee.
+        let terms = terms.map(|(f, coeff)| (f.as_slice(), coeff));
         let base0 = map.base;
-        let two = T::from_f64(2.0);
         dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
-            let b = base0 + j * sy + k * sz;
+            let (b, n) = (base0 + j * sy + k * sz, row.len());
+            let au = stencil_row(us, b, n, sy, sz, c);
+            let terms = terms.map(|(f, coeff)| (&f[b..][..n], coeff));
             for (i, o) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = us[c];
-                let au = cx * (two * uc - us[c - 1] - us[c + 1])
-                    + cy * (two * uc - us[c - sy] - us[c + sy])
-                    + cz * (two * uc - us[c - sz] - us[c + sz]);
-                let mut v = ca * au;
-                for (f, coeff) in term_slices {
-                    v += *coeff * f[c];
+                let mut v = ca * au(i);
+                for (f, coeff) in &terms {
+                    v += *coeff * f[i];
                 }
                 *o = v;
             }
@@ -316,26 +297,23 @@ impl Laplacian {
         t: &mut Field<T>,
         r: &Field<T>,
     ) -> (T, T) {
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let (c, sy, sz) = self.coeffs::<T>();
         let map = self.grid.interior_map();
         let [nx, ny, nz] = self.grid.local_n;
         let us = u.as_slice();
         let rs = r.as_slice();
         let base0 = map.base;
-        let two = T::from_f64(2.0);
         let [tr, tt] = dev.launch_rows_reduce(info, map, t.as_mut_slice(), |j, k, row| {
-            let b = base0 + j * sy + k * sz;
+            let (b, n) = (base0 + j * sy + k * sz, row.len());
+            let au = stencil_row(us, b, n, sy, sz, c);
             for (i, out) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = us[c];
-                *out = cx * (two * uc - us[c - 1] - us[c + 1])
-                    + cy * (two * uc - us[c - sy] - us[c + sy])
-                    + cz * (two * uc - us[c - sz] - us[c + sz]);
+                *out = au(i);
             }
+            let r = &rs[b..][..n];
             let mid = row_has_deep_middle(nx, ny, nz, j, k);
             [
-                fold_row_edge_last(row.len(), mid, |i| row[i] * rs[b + i]),
-                fold_row_edge_last(row.len(), mid, |i| row[i] * row[i]),
+                fold_row_edge_last(n, mid, |i| row[i] * r[i]),
+                fold_row_edge_last(n, mid, |i| row[i] * row[i]),
             ]
         });
         (tr, tt)
@@ -356,28 +334,25 @@ impl Laplacian {
         r: &Field<T>,
         g: &Field<T>,
     ) -> (T, T, T) {
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let (c, sy, sz) = self.coeffs::<T>();
         let map = self.grid.interior_map();
         let [nx, ny, nz] = self.grid.local_n;
         let us = u.as_slice();
         let rs = r.as_slice();
         let gs = g.as_slice();
         let base0 = map.base;
-        let two = T::from_f64(2.0);
         let [tr, tt, gt] = dev.launch_rows_reduce(info, map, t.as_mut_slice(), |j, k, row| {
-            let b = base0 + j * sy + k * sz;
+            let (b, n) = (base0 + j * sy + k * sz, row.len());
+            let au = stencil_row(us, b, n, sy, sz, c);
             for (i, out) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = us[c];
-                *out = cx * (two * uc - us[c - 1] - us[c + 1])
-                    + cy * (two * uc - us[c - sy] - us[c + sy])
-                    + cz * (two * uc - us[c - sz] - us[c + sz]);
+                *out = au(i);
             }
+            let (r, g) = (&rs[b..][..n], &gs[b..][..n]);
             let mid = row_has_deep_middle(nx, ny, nz, j, k);
             [
-                fold_row_edge_last(row.len(), mid, |i| row[i] * rs[b + i]),
-                fold_row_edge_last(row.len(), mid, |i| row[i] * row[i]),
-                fold_row_edge_last(row.len(), mid, |i| gs[b + i] * row[i]),
+                fold_row_edge_last(n, mid, |i| row[i] * r[i]),
+                fold_row_edge_last(n, mid, |i| row[i] * row[i]),
+                fold_row_edge_last(n, mid, |i| g[i] * row[i]),
             ]
         });
         (tr, tt, gt)
@@ -402,23 +377,19 @@ impl Laplacian {
     ) {
         assert_eq!(us.len(), ws.len(), "lane count mismatch");
         assert_eq!(us.len(), gs.len(), "lane count mismatch");
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let (c, sy, sz) = self.coeffs::<T>();
         let map = self.grid.interior_map();
         let [nx, ny, nz] = self.grid.local_n;
         let base0 = map.base;
-        let two = T::from_f64(2.0);
         dev.launch_lanes_reduce(info, map, ws, accs, |s, j, k, row| {
-            let b = base0 + j * sy + k * sz;
-            let (usl, gsl) = (us[s], gs[s]);
+            let (b, n) = (base0 + j * sy + k * sz, row.len());
+            let au = stencil_row(us[s], b, n, sy, sz, c);
             for (i, out) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = usl[c];
-                *out = cx * (two * uc - usl[c - 1] - usl[c + 1])
-                    + cy * (two * uc - usl[c - sy] - usl[c + sy])
-                    + cz * (two * uc - usl[c - sz] - usl[c + sz]);
+                *out = au(i);
             }
+            let g = &gs[s][b..][..n];
             let mid = row_has_deep_middle(nx, ny, nz, j, k);
-            [fold_row_edge_last(row.len(), mid, |i| gsl[b + i] * row[i])]
+            [fold_row_edge_last(n, mid, |i| g[i] * row[i])]
         });
     }
 
@@ -441,26 +412,22 @@ impl Laplacian {
         assert_eq!(us.len(), ts.len(), "lane count mismatch");
         assert_eq!(us.len(), rs.len(), "lane count mismatch");
         assert_eq!(us.len(), gs.len(), "lane count mismatch");
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let (c, sy, sz) = self.coeffs::<T>();
         let map = self.grid.interior_map();
         let [nx, ny, nz] = self.grid.local_n;
         let base0 = map.base;
-        let two = T::from_f64(2.0);
         dev.launch_lanes_reduce(info, map, ts, accs, |s, j, k, row| {
-            let b = base0 + j * sy + k * sz;
-            let (usl, rsl, gsl) = (us[s], rs[s], gs[s]);
+            let (b, n) = (base0 + j * sy + k * sz, row.len());
+            let au = stencil_row(us[s], b, n, sy, sz, c);
             for (i, out) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = usl[c];
-                *out = cx * (two * uc - usl[c - 1] - usl[c + 1])
-                    + cy * (two * uc - usl[c - sy] - usl[c + sy])
-                    + cz * (two * uc - usl[c - sz] - usl[c + sz]);
+                *out = au(i);
             }
+            let (r, g) = (&rs[s][b..][..n], &gs[s][b..][..n]);
             let mid = row_has_deep_middle(nx, ny, nz, j, k);
             [
-                fold_row_edge_last(row.len(), mid, |i| row[i] * rsl[b + i]),
-                fold_row_edge_last(row.len(), mid, |i| row[i] * row[i]),
-                fold_row_edge_last(row.len(), mid, |i| gsl[b + i] * row[i]),
+                fold_row_edge_last(n, mid, |i| row[i] * r[i]),
+                fold_row_edge_last(n, mid, |i| row[i] * row[i]),
+                fold_row_edge_last(n, mid, |i| g[i] * row[i]),
             ]
         });
     }
@@ -535,6 +502,38 @@ pub fn apply_physical_bcs<T: Scalar>(
 #[inline(always)]
 fn field_idx(grid: &BlockGrid, i: usize, j: usize, k: usize) -> usize {
     grid.idx(i, j, k)
+}
+
+/// The 7-point stencil over one interior row: `b` is the padded index of
+/// the row's first cell, `n` its length, `sy`/`sz` the padded strides and
+/// `[cx, cy, cz]` the per-axis `1/h²` coefficients.
+///
+/// Each of the seven input rows (centre, ±x, ±y, ±z) is sliced once to
+/// exactly `n` elements, so inside a `0..n` loop every read of the
+/// returned evaluator is provably in bounds: the checks fold away and
+/// the loop vectorises across `i`. The expression is the single source
+/// of the stencil's operation order — no `mul_add`, no reassociation —
+/// so vector and scalar code, and every back-end, produce the same bits.
+#[inline(always)]
+fn stencil_row<T: Scalar>(
+    us: &[T],
+    b: usize,
+    n: usize,
+    sy: usize,
+    sz: usize,
+    [cx, cy, cz]: [T; 3],
+) -> impl Fn(usize) -> T + '_ {
+    let row = |start: usize| &us[start..][..n];
+    let (mid, west, east) = (row(b), row(b - 1), row(b + 1));
+    let (south, north) = (row(b - sy), row(b + sy));
+    let (down, up) = (row(b - sz), row(b + sz));
+    let two = T::from_f64(2.0);
+    move |i| {
+        let uc = mid[i];
+        cx * (two * uc - west[i] - east[i])
+            + cy * (two * uc - south[i] - north[i])
+            + cz * (two * uc - down[i] - up[i])
+    }
 }
 
 #[cfg(test)]
@@ -725,7 +724,7 @@ mod tests {
         let f2 = Field::from_interior(&dev, &grid, &f2v);
         let mut out = Field::zeros(&dev, &grid);
         let (ca, c1, c2) = (0.25, -1.5, 2.0);
-        lap.apply_combine(&dev, INFO_APPLY, &u, &mut out, ca, &[(&f1, c1), (&f2, c2)]);
+        lap.apply_combine(&dev, INFO_APPLY, &u, &mut out, ca, [(&f1, c1), (&f2, c2)]);
         // reference: separate apply then axpys
         let mut au = Field::zeros(&dev, &grid);
         lap.apply(&dev, INFO_APPLY, &u, &mut au);
@@ -749,7 +748,7 @@ mod tests {
         let mut u = Field::from_interior(&dev, &grid, &uv);
         apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
         let mut out = Field::zeros(&dev, &grid);
-        lap.apply_combine(&dev, INFO_APPLY, &u, &mut out, -1.0, &[]);
+        lap.apply_combine(&dev, INFO_APPLY, &u, &mut out, -1.0, []);
         let mut au = Field::zeros(&dev, &grid);
         lap.apply(&dev, INFO_APPLY, &u, &mut au);
         let a = out.interior_to_host(&grid);
@@ -851,10 +850,10 @@ mod tests {
         apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
         let f1 = Field::from_interior(&dev, &grid, &f1v);
         let mut full = Field::zeros(&dev, &grid);
-        lap.apply_combine(&dev, INFO_APPLY, &u, &mut full, 0.5, &[(&f1, -2.0)]);
+        lap.apply_combine(&dev, INFO_APPLY, &u, &mut full, 0.5, [(&f1, -2.0)]);
         let mut split = Field::zeros(&dev, &grid);
-        lap.apply_combine_interior(&dev, INFO_APPLY, &u, &mut split, 0.5, &[(&f1, -2.0)]);
-        lap.apply_combine_shell(&dev, INFO_APPLY, &u, &mut split, 0.5, &[(&f1, -2.0)]);
+        lap.apply_combine_interior(&dev, INFO_APPLY, &u, &mut split, 0.5, [(&f1, -2.0)]);
+        lap.apply_combine_shell(&dev, INFO_APPLY, &u, &mut split, 0.5, [(&f1, -2.0)]);
         assert_eq!(full.interior_to_host(&grid), split.interior_to_host(&grid));
     }
 
